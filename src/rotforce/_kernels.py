@@ -1,180 +1,63 @@
-"""Hot loops for rotation-number estimation, with two backends.
+"""The orbit loop behind every rotation-number estimate.
 
 Everything expensive in this package reduces to iterating a circle
-homeomorphism and accumulating displacements of its canonical lift (the
-lift whose value at 0 lies in [0, 1)).  The kernels here do exactly that
-for the two primitive map kinds:
+homeomorphism f and adding up the displacements of its canonical lift F
+(the lift with F(0) in [0, 1)).  For t in [0, 1),
+F(t) = f(t) + [f(t) < f(0)], so one step of an orbit contributes
+``f(t) - t + (f(t) < f(0))`` and n steps telescope to F^n(x) - x.
+:func:`lift_total` is the only place that sum is taken.  It runs one
+orbit on Python floats, or a batch of orbits (one per map) on numpy
+arrays.  The two primitive map kinds supply their steps here: the
+projective action of determinant-one matrices (:func:`rp1`) and
+piecewise-linear maps evaluated from an extended breakpoint table
+(:func:`pl_table`, :func:`pl_eval`).
 
-* projective action of a determinant-one 2x2 matrix on RP^1, and
-* a piecewise-linear circle homeomorphism given by lift breakpoints.
-
-Two interchangeable implementations are provided: numba ``@njit`` loops
-(the default whenever numba imports cleanly) and a pure-numpy fallback
-that vectorizes across a batch of matrices.  Set ``ROTFORCE_NO_NUMBA=1``
-before import, or call :func:`set_backend`, to select the fallback.
-``benchmarks/bench_kernels.py`` times one against the other.
-
-Displacement convention: for t in [0, 1) one step contributes
-``f(t) - t + (1 if f(t) < f(0) else 0)``, which telescopes to the
-canonical lift evaluated along the forward orbit of 0.
+Orbits start at the golden section ``ORBIT_START`` = (sqrt 5 - 1)/2, not
+at 0.  F jumps at 0, and an orbit of 0 under a rotation by p/q returns
+to 0 every q steps, where rounding would decide the jump and could drop
+a whole turn each time the orbit closes.  An orbit of the golden section
+under a rotation by p/q keeps at least about 0.38/q^2 away from 0.  The
+estimate total/n keeps its 2/n error bound from any start, because
+|F^n(x) - x - n rot(f)| < 1 for every x.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
+from bisect import bisect_right
 
 import numpy as np
 
-_HAVE_NUMBA = False
-if not os.environ.get("ROTFORCE_NO_NUMBA"):
-    try:
-        # the builtin workqueue layer avoids a noisy stale-TBB advisory and
-        # is plenty for these kernels; an explicit user setting still wins
-        os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*TBB.*")
-            from numba import njit, prange
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+ORBIT_START = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def lift_total(step, n: int, start):
+    """Canonical-lift displacement F^n(start) - start after n steps of ``step``.
 
-
-def _moebius_totals_np(mats: np.ndarray, n: int) -> np.ndarray:
-    """Lift displacement totals after n steps, vectorized across matrices."""
-    mats = np.asarray(mats, dtype=np.float64).reshape(-1, 4)
-    a, b, c, d = (mats[:, i] for i in range(4))
-    t0 = (np.arctan2(c, a) / np.pi) % 1.0
-    t = np.zeros(len(mats))
-    total = np.zeros(len(mats))
+    ``step`` maps circle coordinates in [0, 1) into [0, 1).  ``start`` is a
+    float, or a numpy array of starting points that ``step`` maps
+    elementwise (one orbit per map of a batch).
+    """
+    zero = start * 0.0
+    f0 = step(zero)
+    t = start
+    total = zero
     for _ in range(n):
-        ct = np.cos(np.pi * t)
-        st = np.sin(np.pi * t)
-        tp = (np.arctan2(c * ct + d * st, a * ct + b * st) / np.pi) % 1.0
-        total += tp - t + (tp < t0)
+        tp = step(t)
+        total += tp - t + (tp < f0)
         t = tp
     return total
 
 
-def _pl_eval_frac_np(xs: np.ndarray, ys: np.ndarray, r: float) -> float:
-    """Lift value at r in [0, 1); the curve extends by f(x+1) = f(x)+1."""
-    k = len(xs)
-    idx = int(np.searchsorted(xs, r, side="right")) - 1
-    if idx < 0:
-        x0, y0 = xs[k - 1] - 1.0, ys[k - 1] - 1.0
-        x1, y1 = xs[0], ys[0]
-    elif idx == k - 1:
-        x0, y0 = xs[k - 1], ys[k - 1]
-        x1, y1 = xs[0] + 1.0, ys[0] + 1.0
-    else:
-        x0, y0 = xs[idx], ys[idx]
-        x1, y1 = xs[idx + 1], ys[idx + 1]
-    return y0 + (r - x0) * (y1 - y0) / (x1 - x0)
+def rp1(a, b, c, d, t):
+    """Projective action of [[a, b], [c, d]] on RP^1 coordinates, elementwise.
 
-
-def _pl_total_np(xs: np.ndarray, ys: np.ndarray, n: int) -> float:
-    t0 = _pl_eval_frac_np(xs, ys, 0.0) % 1.0
-    t = 0.0
-    total = 0.0
-    for _ in range(n):
-        tp = _pl_eval_frac_np(xs, ys, t) % 1.0
-        total += tp - t + (1.0 if tp < t0 else 0.0)
-        t = tp
-    return total
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _moebius_total_one_nb(a, b, c, d, n):
-        t0 = (math.atan2(c, a) / math.pi) % 1.0
-        t = 0.0
-        total = 0.0
-        for _ in range(n):
-            ct = math.cos(math.pi * t)
-            st = math.sin(math.pi * t)
-            tp = (math.atan2(c * ct + d * st, a * ct + b * st) / math.pi) % 1.0
-            delta = tp - t
-            if tp < t0:
-                delta += 1.0
-            total += delta
-            t = tp
-        return total
-
-    @njit(cache=True, parallel=True)
-    def _moebius_totals_nb(mats, n):
-        m = mats.shape[0]
-        out = np.empty(m)
-        for i in prange(m):
-            out[i] = _moebius_total_one_nb(
-                mats[i, 0], mats[i, 1], mats[i, 2], mats[i, 3], n
-            )
-        return out
-
-    @njit(cache=True)
-    def _pl_eval_frac_nb(xs, ys, r):
-        k = xs.shape[0]
-        idx = np.searchsorted(xs, r, side="right") - 1
-        if idx < 0:
-            x0 = xs[k - 1] - 1.0
-            y0 = ys[k - 1] - 1.0
-            x1 = xs[0]
-            y1 = ys[0]
-        elif idx == k - 1:
-            x0 = xs[k - 1]
-            y0 = ys[k - 1]
-            x1 = xs[0] + 1.0
-            y1 = ys[0] + 1.0
-        else:
-            x0 = xs[idx]
-            y0 = ys[idx]
-            x1 = xs[idx + 1]
-            y1 = ys[idx + 1]
-        return y0 + (r - x0) * (y1 - y0) / (x1 - x0)
-
-    @njit(cache=True)
-    def _pl_total_nb(xs, ys, n):
-        t0 = _pl_eval_frac_nb(xs, ys, 0.0) % 1.0
-        t = 0.0
-        total = 0.0
-        for _ in range(n):
-            tp = _pl_eval_frac_nb(xs, ys, t) % 1.0
-            delta = tp - t
-            if tp < t0:
-                delta += 1.0
-            total += delta
-            t = tp
-        return total
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_backend = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in available_backends():
-        raise ValueError(f"backend {name!r} not available (have {available_backends()})")
-    _backend = name
+    Vector counterpart of ``MoebiusReal.rp1``: entries and ``t`` may be
+    numpy arrays that broadcast together.
+    """
+    ct = np.cos(np.pi * t)
+    st = np.sin(np.pi * t)
+    return (np.arctan2(c * ct + d * st, a * ct + b * st) / np.pi) % 1.0
 
 
 def moebius_lift_totals(mats, n: int) -> np.ndarray:
@@ -183,16 +66,30 @@ def moebius_lift_totals(mats, n: int) -> np.ndarray:
     ``mats`` is (m, 4) in (a, b, c, d) order, determinant one.  The
     rotation-number estimate for row i is ``out[i] / n`` reduced mod 1.
     """
-    mats = np.ascontiguousarray(np.asarray(mats, dtype=np.float64).reshape(-1, 4))
-    if _backend == "numba":
-        return _moebius_totals_nb(mats, n)
-    return _moebius_totals_np(mats, n)
+    mats = np.asarray(mats, dtype=np.float64).reshape(-1, 4)
+    a, b, c, d = mats.T
+    return lift_total(lambda t: rp1(a, b, c, d, t), n, np.full(len(mats), ORBIT_START))
+
+
+def pl_table(xs, ys) -> tuple[list[float], list[float]]:
+    """Lift breakpoints extended one period past each end.
+
+    With ``xs`` in [0, 1) and the periodic extension f(x + 1) = f(x) + 1,
+    every r in [0, 1) then lies inside a segment of the table.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    return [xs[-1] - 1.0, *xs, xs[0] + 1.0], [ys[-1] - 1.0, *ys, ys[0] + 1.0]
+
+
+def pl_eval(xe: list[float], ye: list[float], r: float) -> float:
+    """Lift value at r in [0, 1) from a table built by :func:`pl_table`."""
+    i = bisect_right(xe, r) - 1
+    x0, y0 = xe[i], ye[i]
+    return y0 + (r - x0) * (ye[i + 1] - y0) / (xe[i + 1] - x0)
 
 
 def pl_lift_total(xs, ys, n: int) -> float:
     """Canonical-lift total after n iterations of a piecewise-linear map."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    if _backend == "numba":
-        return float(_pl_total_nb(xs, ys, n))
-    return _pl_total_np(xs, ys, n)
+    xe, ye = pl_table(xs, ys)
+    return lift_total(lambda t: pl_eval(xe, ye, t) % 1.0, n, ORBIT_START)

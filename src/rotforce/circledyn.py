@@ -80,11 +80,7 @@ class MoebiusOnRP1(CircleMap):
         return self.matrix.rp1(t)
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        ct = np.cos(np.pi * ts)
-        st = np.sin(np.pi * ts)
-        m = self.matrix
-        return (np.arctan2(m.c * ct + m.d * st, m.a * ct + m.b * st) / np.pi) % 1.0
+        return _kernels.rp1(*self.matrix.entries(), np.asarray(ts, dtype=float))
 
     def inverse(self) -> "MoebiusOnRP1":
         return MoebiusOnRP1(self.matrix.inverse())
@@ -116,32 +112,26 @@ class PiecewiseLinear(CircleMap):
             raise NotMonotone("breakpoint positions not strictly increasing")
         if np.any(np.diff(ys) <= 0) or not ys[-1] < ys[0] + 1.0:
             raise NotMonotone("breakpoint images not strictly increasing around the circle")
-        shift = math.floor(self._raw_lift(xs, ys, 0.0))
+        xe, ye = _kernels.pl_table(xs, ys)
+        shift = math.floor(_kernels.pl_eval(xe, ye, 0.0))
         self.xs = xs
         self.ys = ys - shift
-
-    @staticmethod
-    def _raw_lift(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-        k = math.floor(x)
-        r = x - k
-        return k + _kernels._pl_eval_frac_np(xs, ys, r)
+        self._xe = xe
+        self._ye = [y - shift for y in ye]
 
     @classmethod
     def rotation(cls, theta: float) -> "PiecewiseLinear":
         return cls([0.0], [theta % 1.0])
 
     def lift(self, x: float) -> float:
-        return self._raw_lift(self.xs, self.ys, x)
+        k = math.floor(x)
+        return k + _kernels.pl_eval(self._xe, self._ye, x - k)
 
     def __call__(self, t: float) -> float:
-        return self.lift(t % 1.0) % 1.0
+        return _kernels.pl_eval(self._xe, self._ye, t % 1.0) % 1.0
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float) % 1.0
-        # extend one breakpoint past each end so interp sees the wrap segment
-        xs = np.concatenate(([self.xs[-1] - 1.0], self.xs, [self.xs[0] + 1.0]))
-        ys = np.concatenate(([self.ys[-1] - 1.0], self.ys, [self.ys[0] + 1.0]))
-        return np.interp(ts, xs, ys) % 1.0
+        return np.interp(np.asarray(ts, dtype=float) % 1.0, self._xe, self._ye) % 1.0
 
     def inverse(self) -> "PiecewiseLinear":
         us = self.ys % 1.0
@@ -243,28 +233,22 @@ def _estimate_from_total(total: float, n: int) -> RotationEstimate:
 
 
 def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
-    """Poincare estimate: canonical-lift displacement over n iterates of 0.
+    """Poincare estimate: canonical-lift displacement over n iterates.
 
-    The reported ``error_bound`` 2/n is the conservative a-priori bound
-    |lift^n(0)/n - rot(f)| < 2/n valid for every circle homeomorphism.
+    The orbit starts at ``_kernels.ORBIT_START``.  The reported
+    ``error_bound`` 2/n is the conservative a-priori bound
+    |(lift^n(x) - x)/n - rot(f)| < 2/n valid for every circle
+    homeomorphism and every x.
     """
     if n <= 0:
         raise ValueError("iteration count must be positive")
     m = f.as_moebius()
     if m is not None:
-        total = float(_kernels.moebius_lift_totals([m.entries()], n)[0])
-        return _estimate_from_total(total, n)
+        return _estimate_from_total(_kernels.lift_total(m.rp1, n, _kernels.ORBIT_START), n)
     certify_monotone(f)
     if isinstance(f, PiecewiseLinear):
         return _estimate_from_total(_kernels.pl_lift_total(f.xs, f.ys, n), n)
-    t0 = f(0.0)
-    t = 0.0
-    total = 0.0
-    for _ in range(n):
-        tp = f(t)
-        total += tp - t + (1.0 if tp < t0 else 0.0)
-        t = tp
-    return _estimate_from_total(total, n)
+    return _estimate_from_total(_kernels.lift_total(f, n, _kernels.ORBIT_START), n)
 
 
 def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstimate]:
@@ -308,10 +292,14 @@ class OrbitEntry:
 
 @dataclass(frozen=True)
 class DenjoyLayout:
-    """Gap allocation for a finite word ball: where each orbit point's gap sits."""
+    """Gap allocation for a finite word ball: where each orbit point's gap sits.
+
+    ``maps`` holds the blown-up generators that carry gap onto gap.
+    """
 
     entries: tuple[OrbitEntry, ...]
     total_weight: float
+    maps: tuple[PiecewiseLinear, ...]
 
     def by_word(self) -> dict[tuple, OrbitEntry]:
         return {e.word: e for e in self.entries}
@@ -385,8 +373,7 @@ def denjoy_blowup(
     the gaps.  ``gap_weights`` may be an explicit positive sequence, a
     scale for the default quadratic-decay weights, or None.
     """
-    maps, layout = _denjoy_build(generators, orbit_seed, gap_weights, depth)
-    return maps
+    return list(_denjoy_build(generators, orbit_seed, gap_weights, depth).maps)
 
 
 def denjoy_layout(
@@ -395,17 +382,17 @@ def denjoy_layout(
     gap_weights: Sequence[float] | float | None = None,
     depth: int = 5,
 ) -> DenjoyLayout:
-    """The gap allocation used by :func:`denjoy_blowup` with the same arguments."""
-    maps, layout = _denjoy_build(generators, orbit_seed, gap_weights, depth)
-    return layout
+    """The gap allocation used by :func:`denjoy_blowup` with the same arguments,
+    carrying the blown-up generators as ``maps``."""
+    return _denjoy_build(generators, orbit_seed, gap_weights, depth)
 
 
-def _denjoy_build(generators, orbit_seed, gap_weights, depth):
+def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     gens = [m if isinstance(m, MoebiusOnRP1) else MoebiusOnRP1(m) for m in generators]
     if not gens:
-        return [], DenjoyLayout(entries=(), total_weight=0.0)
+        return DenjoyLayout(entries=(), total_weight=0.0, maps=())
     seed = orbit_seed % 1.0
     ball = _word_ball(len(gens), depth)
 
@@ -447,8 +434,7 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth):
         lo = scale * points[w] + acc
         entries.append(OrbitEntry(word=w, position=points[w], weight=weight_of[w], gap=(lo, lo + weight_of[w])))
         acc += weight_of[w]
-    layout = DenjoyLayout(entries=tuple(entries), total_weight=total)
-    gap_of = layout.by_word()
+    gap_of = {e.word: e for e in entries}
 
     out_maps = []
     for gi in range(len(gens)):
@@ -473,4 +459,4 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth):
         if not ys[-1] < ys[0] + 1.0:
             raise NotMonotone("blow-up constraints wind more than once")
         out_maps.append(PiecewiseLinear(xs, ys))
-    return out_maps, layout
+    return DenjoyLayout(entries=tuple(entries), total_weight=total, maps=tuple(out_maps))

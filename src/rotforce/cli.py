@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, circledyn, forcing, moebius, quatalg, rotarith
-from .eulerorb import OrbifoldSig, feasible_tuples, milnor_wood_bound
+from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_tuples, milnor_wood_bound
 from .moebius import CLASS_TOL, HPoint, MoebiusReal, elliptic_rotation_number, rotation_about
 
 __all__ = ["main"]
@@ -132,28 +132,34 @@ def _cmd_domain(args) -> None:
     )
 
 
-def _parse_expr(node) -> rotarith.Expr:
+def _parse_expr(node, variables) -> rotarith.Expr:
     if isinstance(node, str):
-        if "/" in node:
-            return rotarith.Const(rotarith.Angle(exact=Fraction(node)))
-        return rotarith.Var(node)
+        if node in variables:
+            return rotarith.Var(node)
+        try:
+            return rotarith.Const(_angle_arg(node))
+        except ValueError:
+            raise ValueError(
+                f"{node!r} is neither a number nor a declared variable ({', '.join(variables)})"
+            ) from None
     if isinstance(node, (int, float)):
         return rotarith.Const(rotarith.Angle(float(node)))
     if isinstance(node, dict) and "plus_l" in node:
         body = node["plus_l"]
         return rotarith.PlusL(
             l=float(body.get("l", 0.0)),
-            left=_parse_expr(body["a"]),
-            right=_parse_expr(body["b"]),
+            left=_parse_expr(body["a"], variables),
+            right=_parse_expr(body["b"], variables),
         )
     raise ValueError(f"bad expression node {node!r}")
 
 
 def _cmd_solve(args) -> None:
     doc = json.loads(_read_text(args.system))
+    variables = list(doc["variables"])
     system = rotarith.EquationSystem(
-        variables=list(doc["variables"]),
-        equations=[(_parse_expr(l), _parse_expr(r)) for l, r in doc["equations"]],
+        variables=variables,
+        equations=[(_parse_expr(l, variables), _parse_expr(r, variables)) for l, r in doc["equations"]],
         constraints={k: (float(v[0]), float(v[1])) for k, v in doc.get("constraints", {}).items()},
     )
     sols = rotarith.solve_system(system, grid=args.grid, refine_tol=args.refine_tol)
@@ -182,6 +188,7 @@ def _parse_sig(text: str) -> OrbifoldSig:
 
 def _cmd_euler_feasible(args) -> None:
     sig = _parse_sig(args.sig)
+    check_manifold_cover(sig, args.degree, args.cover_chi)
     fixed = {}
     if args.fix:
         values = [Fraction(v) for v in args.fix.split(",") if v.strip()]
@@ -300,13 +307,12 @@ def _cmd_triangle(args) -> None:
 def _cmd_denjoy(args) -> None:
     theta = _angle_arg(args.theta)
     gen = rotation_about(HPoint(0.0, 1.0), theta.value)
-    maps = circledyn.denjoy_blowup([gen], args.seed_point, depth=args.depth)
     layout = circledyn.denjoy_layout([gen], args.seed_point, depth=args.depth)
-    est = circledyn.rotation_number(maps[0], args.iters)
-    deviation = rotarith.circ_dist(est.value, theta.value)
+    est = circledyn.rotation_number(layout.maps[0], args.iters)
+    deviation = circledyn.circ_dist(est.value, theta.value)
     _emit(
         {
-            "breakpoints": len(maps[0].xs),
+            "breakpoints": len(layout.maps[0].xs),
             "gaps": len(layout.entries),
             "gap_total": layout.total_weight,
             "estimate": est.value,

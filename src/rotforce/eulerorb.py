@@ -48,6 +48,26 @@ def orbifold_euler_char(sig: OrbifoldSig) -> Fraction:
     return chi
 
 
+def check_manifold_cover(sig: OrbifoldSig, degree: int, chi: int) -> None:
+    """Raise ValueError unless ``sig`` can have a manifold cover of this degree and characteristic.
+
+    A degree-d cover has Euler characteristic d * chi^orb(sig)
+    (Riemann-Hurwitz), and it is a manifold only if every cone order
+    divides d.
+    """
+    if degree < 1:
+        raise ValueError("cover degree must be positive")
+    expected = degree * orbifold_euler_char(sig)
+    if chi != expected:
+        raise ValueError(
+            f"a degree-{degree} cover of the {sig.genus};{','.join(map(str, sig.cone_orders))} orbifold "
+            f"has Euler characteristic {expected}, not {chi}"
+        )
+    for p in sig.cone_orders:
+        if degree % p:
+            raise ValueError(f"cone order {p} does not divide the cover degree {degree}")
+
+
 def euler_number(n: int, rots: Sequence[Fraction]) -> Fraction:
     """Fractional Euler number from the integer part and the cone rotation numbers."""
     return Fraction(n) - sum((Fraction(r) for r in rots), Fraction(0))

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import circledyn
 from .circledyn import CircleMap, circ_dist
-from .eulerorb import OrbifoldSig, feasible_tuples
+from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_tuples
 from .rotarith import domain_interval
 from .rotset import RotSet, rotset_intersect, rotset_symmetrize, rotset_union
 
@@ -134,34 +134,13 @@ class Word:
 def _merged_power(w: Word) -> tuple[str, int] | None:
     """(g, n) when the word reduces to a pure power of one generator, stripping
     any conjugating dressing u g^n u^-1; None otherwise."""
-    letters = list(w.letters)
-    # merge adjacent same-generator letters
-    merged: list[tuple[str, int]] = []
-    for g, e in letters:
-        if merged and merged[-1][0] == g:
-            e2 = merged[-1][1] + e
-            merged.pop()
-            if e2 != 0:
-                merged.append((g, e2))
-        else:
-            merged.append((g, e))
-    # strip matched conjugation: first letter inverse of last
+    merged = _merge_adjacent(w.letters)
+    # strip matched conjugation: first letter inverse of last.  The merged
+    # word has no two adjacent letters on one generator, so neither has
+    # what is left after stripping.
     while len(merged) >= 3 and merged[0][0] == merged[-1][0] and merged[0][1] == -merged[-1][1]:
         merged = merged[1:-1]
-        # re-merge the new ends
-        i = 0
-        while i + 1 < len(merged):
-            if merged[i][0] == merged[i + 1][0]:
-                e2 = merged[i][1] + merged[i + 1][1]
-                merged[i : i + 2] = [(merged[i][0], e2)] if e2 else []
-                i = max(i - 1, 0)
-            else:
-                i += 1
-    if len(merged) == 1:
-        return merged[0]
-    if not merged:
-        return None
-    return None
+    return merged[0] if len(merged) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +379,13 @@ def _parse_orbifold(rest: str, need) -> OrbifoldData:
         i += 1
     if genus is None or degree is None or cover_chi is None:
         raise PresentationSyntaxError("orbifold needs sig=, degree= and coverchi=")
+    try:
+        sig = OrbifoldSig(genus=genus, cone_orders=orders)
+        check_manifold_cover(sig, degree, cover_chi)
+    except ValueError as exc:
+        raise PresentationSyntaxError(str(exc)) from None
     return OrbifoldData(
-        sig=OrbifoldSig(genus=genus, cone_orders=orders),
+        sig=sig,
         degree=degree,
         cover_chi=cover_chi,
         maximal=maximal,
@@ -614,6 +598,7 @@ def _commuting_products(p: Presentation) -> list[tuple[tuple[str, int], tuple[st
 
 
 def _merge_adjacent(letters) -> list[tuple[str, int]]:
+    """Merge neighbouring powers of one generator, dropping zero powers, as a stack."""
     merged: list[tuple[str, int]] = []
     for g, e in letters:
         if merged and merged[-1][0] == g:

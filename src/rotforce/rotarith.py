@@ -23,6 +23,7 @@ from typing import Union
 
 import numpy as np
 
+from .circledyn import circ_dist
 from .moebius import HPoint, IsometryClass, elliptic_rotation_number, rotation_about
 
 
@@ -97,10 +98,6 @@ def _as_float(t: AngleLike) -> float:
 def wrap_diff(a, b):
     """Signed circle difference in [-0.5, 0.5)."""
     return (np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5
-
-
-def circ_dist(a: float, b: float) -> float:
-    return abs(float(wrap_diff(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from rotforce import _kernels
 from rotforce.circledyn import (
     GapBudgetExceeded,
     MoebiusOnRP1,
@@ -68,19 +67,52 @@ def test_batched_estimates_match_single():
         assert abs(est.value - single.value) < 1e-12
 
 
-def test_backends_agree():
-    mats = [rotation_about(HPoint(0.0, 1.0), 1.0 / math.sqrt(2.0))]
-    rows = [m.entries() for m in mats]
-    totals = {}
-    orig = _kernels.backend()
-    try:
-        for backend in _kernels.available_backends():
-            _kernels.set_backend(backend)
-            totals[backend] = float(_kernels.moebius_lift_totals(rows, 5_000)[0])
-    finally:
-        _kernels.set_backend(orig)
-    vals = list(totals.values())
-    assert max(vals) - min(vals) < 1e-9
+def _rational_rotations(seed, max_q):
+    """(p/q, elliptic matrix) for every reduced p/q with q <= max_q, at seeded centres."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for q in range(1, max_q + 1):
+        for p in range(q):
+            if math.gcd(p, q) == 1:
+                centre = HPoint(float(rng.uniform(-2.0, 2.0)), float(np.exp(rng.uniform(-1.0, 1.0))))
+                out.append((p / q, rotation_about(centre, p / q)))
+    return out
+
+
+def test_rational_rotations_within_bound():
+    # an orbit that closes up where the canonical lift jumps must not drop a turn
+    n = 500
+    rots = _rational_rotations(113, 50)
+    batch = rotation_numbers([m for _, m in rots], n)
+    for (theta, m), est in zip(rots, batch):
+        single = rotation_number(MoebiusOnRP1(m), n)
+        assert circ_dist(est.value, theta) <= est.error_bound
+        assert circ_dist(single.value, theta) <= single.error_bound
+
+
+def test_rational_rotation_five_eighths():
+    (est,) = rotation_numbers([rotation_about(HPoint(0.0, 1.0), 5.0 / 8.0)], 2000)
+    assert circ_dist(est.value, 0.625) <= est.error_bound
+
+
+def test_rational_piecewise_linear_rotation():
+    est = rotation_number(PiecewiseLinear([0.0, 0.37], [4.0 / 17.0, 4.0 / 17.0 + 0.37]), 2000)
+    assert circ_dist(est.value, 4.0 / 17.0) <= est.error_bound
+
+
+def test_single_batch_and_word_loop_agree():
+    n = 2000
+    h = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    rots = _rational_rotations(127, 12)
+    batch = rotation_numbers([m for _, m in rots], n)
+    for (theta, m), est in zip(rots, batch):
+        single = rotation_number(MoebiusOnRP1(m), n)
+        # a non-matrix letter sends these through the generic per-step loop
+        plain = rotation_number(Word([PiecewiseLinear.rotation(0.0), MoebiusOnRP1(m)]), n)
+        conj = rotation_number(Word([h, MoebiusOnRP1(m), h.inverse()]), n)
+        assert circ_dist(single.value, est.value) < 1e-9
+        assert circ_dist(plain.value, est.value) < 1e-9
+        assert circ_dist(conj.value, theta) <= conj.error_bound
 
 
 def test_piecewise_linear_rotation():

@@ -112,6 +112,33 @@ def test_solve_doubling(tmp_path, capsys):
         assert set(r["assignment"]) == {"t"}
 
 
+def test_solve_decimal_constant_and_unbound_name(tmp_path, capsys):
+    def system(rhs):
+        path = tmp_path / "sys.json"
+        path.write_text(
+            json.dumps({"variables": ["t"], "equations": [[{"plus_l": {"l": 0.0, "a": "t", "b": "t"}}, rhs]]})
+        )
+        return str(path)
+
+    doc = run_json(capsys, ["solve", system("0.4")])
+    assert sorted(r["value"] for r in doc["roots"]) == pytest.approx([0.2, 0.7], abs=1e-9)
+    code, out, err = run(capsys, ["solve", system("s")])
+    assert code == 1 and out == "" and "error:" in err and "'s'" in err
+
+
+@pytest.mark.parametrize(
+    "sig, degree, chi, message",
+    [
+        ("0;2,3,7", "1", "-4", "Euler characteristic -1/42, not -4"),
+        ("0;2,3,7", "168", "-400", "Euler characteristic -4, not -400"),
+        ("0;2,2,2,4,4", "2", "-2", "cone order 4 does not divide the cover degree 2"),
+    ],
+)
+def test_euler_feasible_rejects_impossible_cover(capsys, sig, degree, chi, message):
+    code, out, err = run(capsys, ["euler-feasible", "--sig", sig, "--degree", degree, "--cover-chi", chi])
+    assert code == 1 and out == "" and "error:" in err and message in err
+
+
 def test_euler_feasible_klein_pinned(capsys):
     doc = run_json(
         capsys,

@@ -143,6 +143,16 @@ def test_parse_orbifold_fields():
     assert q.orbifolds[0].maximal is True
 
 
+def test_parse_orbifold_rejects_impossible_cover():
+    for data, message in (
+        ("sig=0;2,3,7 degree=1 coverchi=-4", "not -4"),
+        ("sig=0;2,2,2,4,4 degree=2 coverchi=-2", "cone order 4 does not divide"),
+    ):
+        with pytest.raises(PresentationSyntaxError) as ei:
+            parse_presentation(f"gens A\norbifold {data} map A:1")
+        assert "statement 2" in str(ei.value) and message in str(ei.value)
+
+
 def test_parse_dial_and_pin_values():
     p = parse_presentation("gens a, nu; dial nu:3 controls a; pin a: 0, 1/4; mark a")
     (d,) = p.dials
