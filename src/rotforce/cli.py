@@ -117,7 +117,7 @@ def _cmd_addl(args) -> None:
 
 
 def _cmd_domain(args) -> None:
-    di = rotarith.domain_interval(args.l, args.theta, tol=args.tol)
+    di = rotarith.domain_interval(args.l, args.theta)
     _emit(
         {
             "lo": di.lo,
@@ -126,7 +126,7 @@ def _cmd_domain(args) -> None:
             "complement": list(di.complement()),
             "l": args.l,
             "theta": float(args.theta),
-            "tolerance": args.tol,
+            "tolerance": 1e-12,
         },
         args,
     )
@@ -352,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("domain", parents=[common], help="definedness interval of the deformed sum")
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_domain)
 
     p = sub.add_parser("solve", parents=[common], help="solve a deformed-sum equation system")

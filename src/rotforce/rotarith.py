@@ -197,22 +197,14 @@ class DomainInterval:
         return (self.hi, self.lo)
 
 
-def _abs_formula_arg(l: float, theta: float, tp: float) -> float:
-    """|arccos-formula argument| as a function of the second summand; mod-1 periodic."""
-    a = math.pi * theta
-    return abs(
-        math.cos(a) * math.cos(math.pi * tp)
-        - math.cosh(l) * math.sin(a) * math.sin(math.pi * tp)
-    )
-
-
-def domain_interval(l: float, theta: AngleLike, tol: float = 1e-12) -> DomainInterval:
+def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     """Definedness-and-nonvanishing interval of t' -> theta +_l t'.
 
-    The squared formula argument is R^2 cos^2(pi t' + phi) with
-    R = hypot(cos(pi theta), cosh(l) sin(pi theta)), so the good set is a
-    single open arc; its endpoints are pinned down by bisecting
-    |argument| - 1 to ``tol``.  The complement always contains -theta.
+    The formula argument is R cos(pi t' + phi) with
+    R = hypot(cos(pi theta), cosh(l) sin(pi theta)), so |argument| >= 1
+    on the closed arc centred at c = -phi/pi with half-width
+    h = acos(1/R)/pi, and the good set is the open arc (c + h, c - h).
+    The complement always contains -theta.
     """
     t = _as_float(theta)
     if l == 0.0 and t == 0.0:
@@ -220,28 +212,24 @@ def domain_interval(l: float, theta: AngleLike, tol: float = 1e-12) -> DomainInt
     a = math.pi * t
     big_a, big_b = math.cos(a), math.cosh(l) * math.sin(a)
     r = math.hypot(big_a, big_b)
-    phi = math.atan2(big_b, big_a)
-    center = (-phi / math.pi) % 1.0  # complement midpoint: |argument| peaks here
+    center = -math.atan2(big_b, big_a) / math.pi  # complement midpoint: |argument| peaks here
     if r <= 1.0 + 1e-15:
-        return DomainInterval(lo=center, hi=center, l=l, theta=t)
+        return DomainInterval(lo=center % 1.0, hi=center % 1.0, l=l, theta=t)
+    half = math.acos(1.0 / r) / math.pi
+    return DomainInterval(lo=(center + half) % 1.0, hi=(center - half) % 1.0, l=l, theta=t)
 
-    def h(tp: float) -> float:
-        return _abs_formula_arg(l, t, tp) - 1.0
 
-    def bisect(lo: float, hi: float) -> float:
-        # h(lo) > 0 > h(hi) or vice versa
-        flo = h(lo)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if (h(mid) > 0) == (flo > 0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+def _in_arc(x: float, arc: tuple, tol: float = 0.0) -> bool:
+    """x lies on the closed arc running ccw from arc[0] to arc[1], widened by tol.
 
-    left = bisect(center, center + 0.5) % 1.0       # interval start (ccw)
-    right = bisect(center + 0.5, center + 1.0) % 1.0  # interval end
-    return DomainInterval(lo=left, hi=right, l=l, theta=t)
+    The endpoints may be lifted (any reals): both are read mod 1, and a
+    lifted span hi - lo of at least 1 is the whole circle.
+    """
+    lo, hi = float(arc[0]), float(arc[1])
+    if hi - lo >= 1.0:
+        return True
+    off = (x - lo) % 1.0
+    return off <= (hi - lo) % 1.0 + tol or off >= 1.0 - tol
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +243,12 @@ def divide(t: AngleLike, p: int, select: tuple) -> Angle:
     """
     if p < 1:
         raise ValueError("divisor must be a positive integer")
-    lo, hi = (_as_float(select[0]), _as_float(select[1]))
-
-    def in_select(x: float) -> bool:
-        if lo <= hi:
-            return lo <= x <= hi
-        return x >= lo or x <= hi
-
-    exact = t.exact if isinstance(t, Angle) else (Fraction(t) % 1 if isinstance(t, (Fraction, int)) else None)
-    if exact is not None:
-        candidates = [(exact + k) / p for k in range(p)]
-        hits = [c for c in candidates if in_select(float(c))]
-        if len(hits) != 1:
-            raise AmbiguousSelection(f"selector holds {len(hits)} of {p} candidates")
-        return Angle(exact=hits[0])
-    tv = _as_float(t)
-    cands = [((tv + k) / p) % 1.0 for k in range(p)]
-    hits = [c for c in cands if in_select(c)]
+    exact = _as_exact(t)
+    base = exact if exact is not None else _as_float(t)
+    hits = [c for c in ((base + k) / p for k in range(p)) if _in_arc(float(c), select)]
     if len(hits) != 1:
         raise AmbiguousSelection(f"selector holds {len(hits)} of {p} candidates")
-    return Angle(hits[0])
+    return Angle(exact=hits[0]) if exact is not None else Angle(hits[0])
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +280,8 @@ class EquationSystem:
     """Equations between deformed-sum expressions over torus variables.
 
     ``variables`` fixes the solve order; the first one is the reported
-    unknown.  ``constraints`` holds closed circular intervals.
+    unknown.  ``constraints`` holds closed circular arcs (lo, hi), run
+    counterclockwise; the endpoints may be given in lifted coordinates.
     """
 
     variables: list[str]
@@ -349,41 +324,33 @@ def _residual_vec(system: EquationSystem, env: dict[str, np.ndarray]) -> np.ndar
     return np.stack([np.broadcast_to(r, shape) for r in rows])
 
 
-def _rho(system: EquationSystem, point: np.ndarray) -> float:
-    env = {v: np.asarray(point[i]) for i, v in enumerate(system.variables)}
-    res = _residual_vec(system, env)
-    if np.any(np.isnan(res)):
-        return math.inf
-    return float(np.max(np.abs(res)))
+def _residuals_at(system: EquationSystem, x: np.ndarray) -> np.ndarray | None:
+    """Flat residual vector at one torus point; None where a deformed sum is undefined."""
+    r = _residual_vec(system, {v: np.asarray(x[i]) for i, v in enumerate(system.variables)}).reshape(-1)
+    return None if np.isnan(r).any() else r
 
 
-def _in_constraint(x: float, arc: tuple[float, float], tol: float) -> bool:
-    lo, hi = arc
-    x %= 1.0
-    if lo <= hi:
-        return lo - tol <= x <= hi + tol
-    return x >= lo - tol or x <= hi + tol
+def _rho(system: EquationSystem, x: np.ndarray) -> float:
+    r = _residuals_at(system, x)
+    return math.inf if r is None else float(np.max(np.abs(r)))
 
 
 def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.ndarray | None:
     """Damped Gauss-Newton on the wrapped residual vector; None if it fails."""
-    x = np.array(start, dtype=float)
-    d = len(x)
+    x = np.array(start, dtype=float) % 1.0
     h = 1e-7
     for _ in range(60):
-        env = {v: np.asarray(x[i]) for i, v in enumerate(system.variables)}
-        r0 = _residual_vec(system, env).reshape(-1)
-        if np.any(np.isnan(r0)):
+        r0 = _residuals_at(system, x)
+        if r0 is None:
             return None
         if np.max(np.abs(r0)) <= refine_tol / 4:
-            return x % 1.0
-        jac = np.empty((len(r0), d))
-        for i in range(d):
+            return x
+        jac = np.empty((len(r0), len(x)))
+        for i in range(len(x)):
             xp = x.copy()
             xp[i] += h
-            envp = {v: np.asarray(xp[j]) for j, v in enumerate(system.variables)}
-            rp = _residual_vec(system, envp).reshape(-1)
-            if np.any(np.isnan(rp)):
+            rp = _residuals_at(system, xp)
+            if rp is None:
                 return None
             jac[:, i] = wrap_diff(rp, r0) / h
         try:
@@ -394,132 +361,80 @@ def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.
             return None
         step = np.clip(step, -0.05, 0.05)
         x = (x + step) % 1.0
-        if np.max(np.abs(step)) < refine_tol / 16:
-            env = {v: np.asarray(x[i]) for i, v in enumerate(system.variables)}
-            rr = _residual_vec(system, env).reshape(-1)
-            if not np.any(np.isnan(rr)) and np.max(np.abs(rr)) <= refine_tol:
-                return x % 1.0
-    env = {v: np.asarray(x[i]) for i, v in enumerate(system.variables)}
-    rr = _residual_vec(system, env).reshape(-1)
-    if not np.any(np.isnan(rr)) and np.max(np.abs(rr)) <= refine_tol:
-        return x % 1.0
-    return None
+        if np.max(np.abs(step)) < refine_tol / 16 and _rho(system, x) <= refine_tol:
+            return x
+    return x if _rho(system, x) <= refine_tol else None
 
 
-def _solve_1d(system: EquationSystem, grid: int, refine_tol: float) -> list[np.ndarray]:
-    name = system.variables[0]
-    xs = np.arange(grid) / grid
-    env = {name: xs}
-    res = _residual_vec(system, env)
-    rho = np.where(np.any(np.isnan(res), axis=0), np.inf, np.max(np.abs(res), axis=0))
+def _scan(system: EquationSystem, grid: int, refine_tol: float) -> list[np.ndarray]:
+    """Polished roots started from every grid cell that brackets a zero of each residual.
 
-    # a genuine plateau of zeros means the solution set is not discrete
-    flat = rho < 1e-9
-    run = 0
-    for v in np.concatenate([flat, flat[:3]]):
-        run = run + 1 if v else 0
-        if run >= 4:
-            raise NonDiscrete("residual vanishes along a grid run; solution set has interior")
-
-    d1 = res[0]
-    candidates = []
-    for k in range(grid):
-        k2 = (k + 1) % grid
-        a, b = d1[k], d1[k2]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0:
-            candidates.append(xs[k])
-        elif (a < 0) != (b < 0) and max(abs(a), abs(b)) < 0.25:
-            # bisect the first equation's wrapped difference
-            lo, hi = xs[k], xs[k] + 1.0 / grid
-            flo = a
-            while hi - lo > refine_tol / 4:
-                mid = 0.5 * (lo + hi)
-                fm = float(_residual_vec(system, {name: np.asarray(mid)})[0])
-                if math.isnan(fm):
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            candidates.append(0.5 * (lo + hi))
-    out = []
-    for c in candidates:
-        p = _polish(system, np.array([c]), refine_tol)
-        if p is not None:
-            out.append(p)
-    return out
-
-
-def _solve_nd(system: EquationSystem, grid: int, refine_tol: float) -> list[np.ndarray]:
+    The grid has ``grid`` nodes per axis for one variable and at most
+    1024, 128 and 40 for two, three and four.
+    """
     d = len(system.variables)
     if len(system.equations) < d:
         raise NonDiscrete(f"{len(system.equations)} equations cannot isolate {d} torus variables")
-    per_dim = {2: min(grid, 1024), 3: min(grid, 128), 4: min(grid, 40)}[d]
-    axes = [np.arange(per_dim) / per_dim for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {v: mesh[i] for i, v in enumerate(system.variables)}
-    res = _residual_vec(system, env)  # (m, per_dim, ..., per_dim)
+    per_dim = grid if d == 1 else min(grid, {2: 1024, 3: 128, 4: 40}[d])
+    axes = tuple(range(d))
+    mesh = np.meshgrid(*[np.arange(per_dim) / per_dim] * d, indexing="ij", sparse=True)
+    res = _residual_vec(system, dict(zip(system.variables, mesh)))
+    res = np.broadcast_to(res, (len(res),) + (per_dim,) * d)
 
-    sign_ok = np.ones(res.shape[1:], dtype=bool)
-    near = np.ones(res.shape[1:], dtype=bool)
+    # a genuine plateau of zeros means the solution set is not discrete
+    flat = (np.abs(res) < 1e-9).all(axis=0)
+    for axis in axes:
+        run = flat & np.roll(flat, -1, axis) & np.roll(flat, -2, axis) & np.roll(flat, -3, axis)
+        if run.any():
+            raise NonDiscrete("residual vanishes along a grid run; solution set has interior")
+
+    # a cell is kept when every residual is <= 0 at one corner, >= 0 at one
+    # corner and small at one corner (so the +-1/2 wrap is no sign change)
+    keep = np.ones(res.shape[1:], dtype=bool)
     for comp in res:
-        lo_any = np.zeros_like(sign_ok)
-        hi_any = np.zeros_like(sign_ok)
-        small = np.zeros_like(sign_ok)
-        for corner in range(1 << d):
-            shifted = comp
-            for i in range(d):
-                if corner >> i & 1:
-                    shifted = np.roll(shifted, -1, axis=i)
-            lo_any |= shifted < 0
-            hi_any |= shifted > 0
-            small |= np.abs(shifted) < 0.25
-        sign_ok &= lo_any & hi_any
-        near &= small
-    cells = np.argwhere(sign_ok & near)
-    roots = []
-    for cell in cells:
-        start = (cell + 0.5) / per_dim
-        p = _polish(system, start, refine_tol)
-        if p is not None:
-            roots.append(p)
-    return roots
+        flags = (comp <= 0, comp >= 0, np.abs(comp) < 0.25)
+        seen = [f.copy() for f in flags]
+        for corner in range(1, 1 << d):
+            shift = tuple(-(corner >> i & 1) for i in axes)
+            for acc, f in zip(seen, flags):
+                acc |= np.roll(f, shift, axes)
+        keep &= seen[0] & seen[1] & seen[2]
+    starts = (np.argwhere(keep) + 0.5) / per_dim
+    return [p for p in (_polish(system, s, refine_tol) for s in starts) if p is not None]
 
 
 def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1e-10) -> SolutionSet:
     """All isolated roots of the equation system on the torus.
 
-    Scans a grid (per-dimension resolution is capped in higher dimension,
-    with Gauss-Newton refinement recovering ``refine_tol``), brackets
-    sign changes of the wrapped residuals, polishes, dedupes, applies
-    constraints, and reports each root with an isolation radius on which
-    the residual is observed to stay above 10x ``refine_tol``.
+    One grid scan (``grid`` nodes per axis for one variable, at most 1024,
+    128 and 40 for two, three and four) brackets zeros of the wrapped
+    residuals; damped Gauss-Newton polishes each bracket to ``refine_tol``.
+    The roots are deduped, filtered by the constraint arcs, and reported
+    each with an isolation radius on which the residual is observed to
+    stay above 10x ``refine_tol``.  A constraint naming no declared
+    variable raises ``ValueError``.
     """
     d = len(system.variables)
     if not 1 <= d <= 4:
         raise ValueError("between 1 and 4 variables required")
     if not system.equations:
         raise NonDiscrete("no equations: every point solves the empty system")
-    finder = _solve_1d if d == 1 else _solve_nd
-    found = finder(system, grid, refine_tol)
+    unknown = sorted(set(system.constraints) - set(system.variables))
+    if unknown:
+        raise ValueError(f"constraint on undeclared variable(s): {', '.join(map(repr, unknown))}")
+    found = _scan(system, grid, refine_tol)
 
     # dedupe (circular, coordinatewise)
     uniq: list[np.ndarray] = []
     for r in found:
         if not any(max(abs(float(wrap_diff(a, b))) for a, b in zip(r, u)) < 1e-6 for u in uniq):
             uniq.append(r)
-    # constraints
-    kept = []
-    for r in uniq:
-        ok = True
-        for i, v in enumerate(system.variables):
-            if v in system.constraints and not _in_constraint(float(r[i]), system.constraints[v], refine_tol):
-                ok = False
-                break
-        if ok:
-            kept.append(r)
+    kept = [
+        r
+        for r in uniq
+        if all(_in_arc(float(r[i]), system.constraints[v], refine_tol)
+               for i, v in enumerate(system.variables) if v in system.constraints)
+    ]
     if not kept:
         raise NoSolution("no isolated root satisfies the constraints")
     kept.sort(key=lambda r: float(r[0]))

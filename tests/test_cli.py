@@ -126,6 +126,21 @@ def test_solve_decimal_constant_and_unbound_name(tmp_path, capsys):
     assert code == 1 and out == "" and "error:" in err and "'s'" in err
 
 
+def test_solve_rejects_constraint_on_undeclared_variable(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": ["t"],
+                "equations": [[{"plus_l": {"l": 0.0, "a": "t", "b": "t"}}, "2/5"]],
+                "constraints": {"s": [0, 0.25]},
+            }
+        )
+    )
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1 and out == "" and err.startswith("error:") and "'s'" in err
+
+
 @pytest.mark.parametrize(
     "sig, degree, chi, message",
     [
@@ -257,9 +272,11 @@ def test_missing_file_exits_1(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["addl"])
-    assert ei.value.code == 2
+    # the domain arc is closed-form, so `domain` takes no tolerance
+    for argv in (["addl"], ["domain", "--l", "1", "--theta", "0.25", "--tol", "1e-9"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -135,19 +135,46 @@ def test_domain_interval_degenerate_when_undeformed():
         domain_interval(0.0, 0.0)
 
 
+def _abs_arg(l: float, theta: float, tp: float) -> float:
+    """|arccos-formula argument| of theta +_l tp, straight from the formula."""
+    a, b = math.pi * theta, math.pi * tp
+    return abs(math.cos(a) * math.cos(b) - math.cosh(l) * math.sin(a) * math.sin(b))
+
+
+def _bisect_crossing(l: float, theta: float, a: float, b: float) -> float:
+    """The one point of [a, b] where |argument| - 1 changes sign, by bisection."""
+    above = _abs_arg(l, theta, a) > 1.0
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        if (_abs_arg(l, theta, mid) > 1.0) == above:
+            a = mid
+        else:
+            b = mid
+    return (0.5 * (a + b)) % 1.0
+
+
 def test_domain_interval_endpoints_and_membership():
     for l, theta in ((1.0, 0.25), (0.5, 0.6), (2.5, 0.45)):
         di = domain_interval(l, theta)
         # endpoints sit on the |argument| = 1 locus
-        from rotforce.rotarith import _abs_formula_arg
-
-        assert abs(_abs_formula_arg(l, theta, di.lo) - 1.0) < 1e-9
-        assert abs(_abs_formula_arg(l, theta, di.hi) - 1.0) < 1e-9
+        assert abs(_abs_arg(l, theta, di.lo) - 1.0) < 1e-9
+        assert abs(_abs_arg(l, theta, di.hi) - 1.0) < 1e-9
         # membership in the open arc matches definedness of the sum
         for tp in np.linspace(0.0, 1.0, 400, endpoint=False):
             inside = di.contains(float(tp), tol=1e-9)
-            arg_ok = _abs_formula_arg(l, theta, float(tp)) < 1.0 - 1e-9
+            arg_ok = _abs_arg(l, theta, float(tp)) < 1.0 - 1e-9
             assert inside == arg_ok
+
+
+def test_domain_interval_closed_form_matches_bisection():
+    # -theta lies in the excluded arc and 0 in the domain, so going ccw the
+    # domain starts once on [-theta, 0] and ends once on [0, -theta]
+    rng = np.random.default_rng(239)
+    for _ in range(200):
+        l, theta = float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.01, 0.99))
+        di = domain_interval(l, theta)
+        assert circ_dist(di.lo, _bisect_crossing(l, theta, 1.0 - theta, 1.0)) < 1e-9
+        assert circ_dist(di.hi, _bisect_crossing(l, theta, 0.0, 1.0 - theta)) < 1e-9
 
 
 def test_domain_complement_avoids_zero():
@@ -200,14 +227,63 @@ def test_solver_doubling_equation():
 
 
 def test_solver_respects_constraints():
+    def solve(arc):
+        system = EquationSystem(
+            variables=["t"],
+            equations=[(PlusL(0.0, Var("t"), Var("t")), Const(Angle(exact=Fraction(2, 5))))],
+            constraints={"t": arc},
+        )
+        return sorted(solve_system(system).values())
+
+    assert solve((0.0, 0.5)) == pytest.approx([0.2], abs=1e-9)
+    # lifted endpoints are read mod 1, and a lifted span of 1 or more is the
+    # whole circle: both doubling preimages of 2/5 lie on each of these
+    for arc in ((-0.4, 0.25), (0.6, 1.25), (-0.5, 0.5), (0.3, 1.3)):
+        assert solve(arc) == pytest.approx([0.2, 0.7], abs=1e-9)
+
+
+def test_solver_rejects_constraint_on_undeclared_variable():
     system = EquationSystem(
         variables=["t"],
-        equations=[(PlusL(0.0, Var("t"), Var("t")), Const(Angle(exact=Fraction(2, 5))))],
-        constraints={"t": (0.0, 0.5)},
+        equations=[(PlusL(0.0, Var("t"), Var("t")), Const(Angle(0.4)))],
+        constraints={"s": (0.0, 0.25)},
     )
-    sols = solve_system(system)
-    assert len(sols.roots) == 1
-    assert abs(sols.roots[0].value.value - 0.2) < 1e-9
+    with pytest.raises(ValueError, match="'s'"):
+        solve_system(system)
+
+
+def _doubling_roots(l: float, c: float) -> list[float]:
+    """Every t with t +_l t = c (signed): the formula argument of t +_l t is
+    ((1 - C) + (1 + C) cos 2 pi t) / 2 with C = cosh l, and it must equal
+    +-cos(pi c); the matrix oracle picks the sign."""
+    big_c = math.cosh(l)
+    roots = []
+    for k in (math.cos(math.pi * c), -math.cos(math.pi * c)):
+        w = (2.0 * k - 1.0 + big_c) / (1.0 + big_c)
+        if abs(w) <= 1.0:
+            beta = math.acos(w) / (2.0 * math.pi)
+            roots += [t for t in (beta, 1.0 - beta) if circ_dist(plus_l_oracle(t, t, l).value, c) < 1e-9]
+    return sorted(roots)
+
+
+def test_solver_doubling_matches_closed_form():
+    rng = np.random.default_rng(241)
+    for i in range(16):
+        l, c = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.05, 0.45)) + 0.5 * (i % 2)
+        system = EquationSystem(variables=["t"], equations=[(PlusL(l, Var("t"), Var("t")), Const(Angle(c)))])
+        want = _doubling_roots(l, c)
+        assert want
+        assert sorted(solve_system(system).values()) == pytest.approx(want, abs=1e-9)
+
+
+def test_solver_roots_on_grid_nodes():
+    # 1/4 and 3/4 are nodes of the default 4096 grid; t +_0 0 = 1/2 has an
+    # exact zero residual at the node 1/2
+    half = Const(Angle(exact=Fraction(1, 2)))
+    doubling = EquationSystem(variables=["x"], equations=[(PlusL(0.0, Var("x"), Var("x")), half)])
+    assert sorted(solve_system(doubling).values()) == pytest.approx([0.25, 0.75], abs=1e-10)
+    shift = EquationSystem(variables=["x"], equations=[(PlusL(0.0, Var("x"), Const(Angle(0.0))), half)])
+    assert solve_system(shift).values() == pytest.approx([0.5], abs=1e-10)
 
 
 def test_solver_deformed_equation():
@@ -242,6 +318,11 @@ def test_solver_underdetermined_rejected():
     )
     with pytest.raises(NonDiscrete):
         solve_system(system)
+    # both sides are the same deformed sum: the residual vanishes on its
+    # domain arc and is undefined off it
+    sum_ = PlusL(1.0, Var("t"), Var("t"))
+    with pytest.raises(NonDiscrete):
+        solve_system(EquationSystem(variables=["t"], equations=[(sum_, sum_)]))
 
 
 def test_solver_no_solution():
