@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +55,8 @@ class AlgebraSpecError(ValueError):
     """A textual algebra description failed to parse."""
 
 
-_REFINE_CAP = 400
+_REFINE_CAP = 400  # interval halvings one sign or approximation query may spend
+_STEP_BITS = 16  # halvings per refine_root call
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +78,6 @@ class RootInterval:
     def refine(self, eps) -> "RootInterval":
         lo, hi = pr.refine_root(self.poly, (self.lo, self.hi), Fraction(eps))
         return RootInterval(self.poly, lo, hi)
-
-    def approx(self, eps=Fraction(1, 10**17)) -> float:
-        r = self if self.width() <= eps else self.refine(eps)
-        return float((r.lo + r.hi) / 2)
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -125,11 +123,23 @@ def _check_irreducible(p: pr.Coeffs):
 
 
 class NumberField:
-    """A totally real field Q[x]/(minpoly) with isolated, ordered real embeddings."""
+    """A totally real field Q[x]/(minpoly) with isolated, ordered real embeddings.
+
+    Each place keeps the narrowest isolating interval found so far.  Sign
+    and approximation queries start from it and store back every
+    refinement they make, so an embedding is refined once for all the
+    elements of the field.  An interval only ever narrows and always
+    isolates the same root.
+    """
 
     def __init__(self, minpoly: pr.Coeffs, embeddings: tuple[RootInterval, ...]):
         self.minpoly = minpoly
-        self.embeddings = embeddings
+        self._intervals = list(embeddings)
+
+    @property
+    def embeddings(self) -> tuple[RootInterval, ...]:
+        """The narrowest isolating interval found so far at each place, in ascending order."""
+        return tuple(self._intervals)
 
     @property
     def degree(self) -> int:
@@ -157,33 +167,48 @@ class NumberField:
 
     # -- certified signs and approximation
 
+    def _enclosures(self, e: "FieldElem", place: int):
+        """Exact enclosures (lo, hi) of the image of ``e`` at the place, each
+        from an interval 2**_STEP_BITS times narrower than the one before,
+        until _REFINE_CAP halvings are spent.  A rational root gives lo == hi."""
+        iv = self._intervals[place]
+        for step in range(_REFINE_CAP // _STEP_BITS + 1):
+            if step:
+                iv = iv.refine(iv.width() / 2**_STEP_BITS)
+                self._intervals[place] = iv
+            if iv.lo == iv.hi:
+                v = pr.eval_at(e.coeffs, iv.lo)
+                yield v, v
+                return
+            yield pr.eval_interval(e.coeffs, iv.lo, iv.hi)
+
     def sign_at(self, e: "FieldElem", place: int) -> int:
         """Certified sign of the image of ``e`` under the given real embedding."""
         if not e.coeffs:
             return 0
-        iv = self.embeddings[place]
-        for _ in range(_REFINE_CAP):
-            lo, hi = pr.eval_interval(e.coeffs, iv.lo, iv.hi)
+        for lo, hi in self._enclosures(e, place):
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if iv.lo == iv.hi:
-                v = pr.eval_at(e.coeffs, iv.lo)
-                return 0 if v == 0 else (1 if v > 0 else -1)
-            iv = iv.refine(iv.width() / 2)
+            if lo == hi:
+                return 0
         raise SignUndecidable(f"value straddles 0 after {_REFINE_CAP} refinements")
 
-    def approx_at(self, e: "FieldElem", place: int, eps=Fraction(1, 10**17)) -> float:
-        iv = self.embeddings[place]
-        for _ in range(_REFINE_CAP):
-            lo, hi = pr.eval_interval(e.coeffs, iv.lo, iv.hi)
-            if hi - lo <= eps:
-                return float((lo + hi) / 2)
-            if iv.lo == iv.hi:
-                return float(pr.eval_at(e.coeffs, iv.lo))
-            iv = iv.refine(iv.width() / 2)
-        raise SignUndecidable(f"no {float(eps)}-approximation after {_REFINE_CAP} refinements")
+    def approx_at(self, e: "FieldElem", place: int) -> float:
+        """The image of ``e`` under the given real embedding, correctly rounded.
+
+        Returns the float to which both ends of an exact enclosure round.
+        A rational value is enclosed exactly; an element outside Q has an
+        irrational image at every place, which a narrow enough enclosure
+        separates from every rounding boundary.  So the result does not
+        depend on how far the place has been refined before.
+        """
+        for lo, hi in self._enclosures(e, place):
+            flo = float(lo)
+            if flo == float(hi):
+                return flo
+        raise SignUndecidable(f"no correctly rounded value after {_REFINE_CAP} refinements")
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -347,6 +372,20 @@ class QuatAlgebra:
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("structure constants a, b must be nonzero")
 
+    @cached_property
+    def profile(self) -> tuple[Ramification, ...]:
+        """Per real place, in embedding order: ramified iff both a and b are
+        negative there.  Computed once per algebra."""
+        f = self.field
+        out = []
+        for place in range(f.degree):
+            sa = f.sign_at(self.a, place)
+            sb = f.sign_at(self.b, place)
+            if sa == 0 or sb == 0:
+                raise SignUndecidable("structure constant is zero at a place")
+            out.append(Ramification.RAMIFIED if (sa < 0 and sb < 0) else Ramification.UNRAMIFIED)
+        return tuple(out)
+
     # -- constructors
 
     def scalar(self, x) -> QuatElem:
@@ -426,24 +465,15 @@ def quat_trace_norm(algebra: QuatAlgebra, x: QuatElem) -> tuple[FieldElem, Field
 
 def ramification_profile(algebra: QuatAlgebra) -> tuple[Ramification, ...]:
     """Per real place, in embedding order: ramified iff both a and b are negative there."""
-    f = algebra.field
-    out = []
-    for place in range(f.degree):
-        sa = f.sign_at(algebra.a, place)
-        sb = f.sign_at(algebra.b, place)
-        if sa == 0 or sb == 0:
-            raise SignUndecidable("structure constant is zero at a place")
-        out.append(Ramification.RAMIFIED if (sa < 0 and sb < 0) else Ramification.UNRAMIFIED)
-    return tuple(out)
+    return algebra.profile
 
 
 def is_fuchsian_admissible(algebra: QuatAlgebra) -> bool:
-    profile = ramification_profile(algebra)
-    return sum(1 for p in profile if p is Ramification.UNRAMIFIED) == 1
+    return algebra.profile.count(Ramification.UNRAMIFIED) == 1
 
 
 def _unramified_place(algebra: QuatAlgebra) -> int:
-    profile = ramification_profile(algebra)
+    profile = algebra.profile
     unram = [i for i, p in enumerate(profile) if p is Ramification.UNRAMIFIED]
     if len(unram) != 1:
         raise NotAdmissible(f"{len(unram)} unramified places (need exactly 1)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -335,24 +335,49 @@ def _rho(system: EquationSystem, x: np.ndarray) -> float:
     return math.inf if r is None else float(np.max(np.abs(r)))
 
 
+def _jacobian(system: EquationSystem, x: np.ndarray, r0: np.ndarray, h: float = 1e-7) -> np.ndarray | None:
+    """Forward-difference Jacobian of the wrapped residuals; None where a sum is undefined."""
+    jac = np.empty((len(r0), len(x)))
+    for i in range(len(x)):
+        xp = x.copy()
+        xp[i] += h
+        rp = _residuals_at(system, xp)
+        if rp is None:
+            return None
+        jac[:, i] = wrap_diff(rp, r0) / h
+    return jac
+
+
+def _rank_deficient(system: EquationSystem, x: np.ndarray) -> bool:
+    """Whether the residual Jacobian at x has numerical rank below the number of variables."""
+    r0 = _residuals_at(system, x)
+    jac = None if r0 is None else _jacobian(system, x, r0)
+    if jac is None:
+        return False
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return bool(sv[-1] <= 1e-6 * sv[0])
+
+
+def _variables_in(expr: Expr) -> set[str]:
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, PlusL):
+        return _variables_in(expr.left) | _variables_in(expr.right)
+    return set()
+
+
 def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.ndarray | None:
     """Damped Gauss-Newton on the wrapped residual vector; None if it fails."""
     x = np.array(start, dtype=float) % 1.0
-    h = 1e-7
     for _ in range(60):
         r0 = _residuals_at(system, x)
         if r0 is None:
             return None
         if np.max(np.abs(r0)) <= refine_tol / 4:
             return x
-        jac = np.empty((len(r0), len(x)))
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += h
-            rp = _residuals_at(system, xp)
-            if rp is None:
-                return None
-            jac[:, i] = wrap_diff(rp, r0) / h
+        jac = _jacobian(system, x, r0)
+        if jac is None:
+            return None
         try:
             step, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
         except np.linalg.LinAlgError:
@@ -366,8 +391,9 @@ def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.
     return x if _rho(system, x) <= refine_tol else None
 
 
-def _scan(system: EquationSystem, grid: int, refine_tol: float) -> list[np.ndarray]:
-    """Polished roots started from every grid cell that brackets a zero of each residual.
+def _scan(system: EquationSystem, grid: int, refine_tol: float) -> Iterator[np.ndarray]:
+    """Polished roots started from every grid cell that brackets a zero of
+    each residual, polished one at a time as they are consumed.
 
     The grid has ``grid`` nodes per axis for one variable and at most
     1024, 128 and 40 for two, three and four.
@@ -400,7 +426,7 @@ def _scan(system: EquationSystem, grid: int, refine_tol: float) -> list[np.ndarr
                 acc |= np.roll(f, shift, axes)
         keep &= seen[0] & seen[1] & seen[2]
     starts = (np.argwhere(keep) + 0.5) / per_dim
-    return [p for p in (_polish(system, s, refine_tol) for s in starts) if p is not None]
+    return (p for p in (_polish(system, s, refine_tol) for s in starts) if p is not None)
 
 
 def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1e-10) -> SolutionSet:
@@ -412,7 +438,10 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     The roots are deduped, filtered by the constraint arcs, and reported
     each with an isolation radius on which the residual is observed to
     stay above 10x ``refine_tol``.  A constraint naming no declared
-    variable raises ``ValueError``.
+    variable raises ``ValueError``.  A declared variable that appears in
+    no equation, or a polished root where the residual Jacobian has rank
+    below the number of variables, raises ``NonDiscrete``: the zero set
+    runs on through that root.
     """
     d = len(system.variables)
     if not 1 <= d <= 4:
@@ -422,12 +451,17 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     unknown = sorted(set(system.constraints) - set(system.variables))
     if unknown:
         raise ValueError(f"constraint on undeclared variable(s): {', '.join(map(repr, unknown))}")
-    found = _scan(system, grid, refine_tol)
+    used = set().union(*(_variables_in(lhs) | _variables_in(rhs) for lhs, rhs in system.equations))
+    free = [v for v in system.variables if v not in used]
+    if free:
+        raise NonDiscrete(f"variable(s) {', '.join(map(repr, free))} appear in no equation")
 
     # dedupe (circular, coordinatewise)
     uniq: list[np.ndarray] = []
-    for r in found:
+    for r in _scan(system, grid, refine_tol):
         if not any(max(abs(float(wrap_diff(a, b))) for a, b in zip(r, u)) < 1e-6 for u in uniq):
+            if _rank_deficient(system, r):
+                raise NonDiscrete(f"residual Jacobian has rank < {d} at a root: the zero set is a curve or more")
             uniq.append(r)
     kept = [
         r

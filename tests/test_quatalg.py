@@ -4,12 +4,16 @@ algebras, their archimedean ramification, and arithmetic rotation numbers."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotforce.polyroots as pr
 from rotforce.moebius import NotElliptic, elliptic_rotation_number
 from rotforce.quatalg import (
+    NumberField,
     NotAdmissible,
     NotIrreducible,
     NotNormOne,
@@ -25,6 +29,7 @@ from rotforce.quatalg import (
     parse_algebra_spec,
     quat_trace_norm,
     ramification_profile,
+    _unramified_place,
 )
 
 F = Fraction
@@ -339,3 +344,210 @@ def test_parse_algebra_spec_errors():
         parse_algebra_spec("field: x^2 - 2; a: t; b: -1; elem x: i / j")  # non-scalar division
     with pytest.raises(AlgebraSpecError):
         parse_algebra_spec("field: x^2 - 2; a: nonsense; b: -1")
+
+
+# ---------------------------------------------------------------------------
+# refined embeddings: warm against cold, against the coarse-start path and
+# against 50-digit evaluation
+
+# (minimal polynomial, a, b): one field of each degree 1..4, each algebra
+# unramified exactly at the largest root (a > 0 only there, b < 0)
+ADMISSIBLE = [
+    ("x + 3", (2,), (-1,)),
+    ("x^2 - 2", (0, 1), (-1,)),
+    ("x^2 - 5", (0, 1), (-2,)),
+    ("x^3 - 3*x + 1", (-1, 1), (-1,)),
+    ("x^4 - 5*x^2 + 5", (F(-3, 2), 1), (-3,)),
+    ("x^4 - 10*x^2 + 1", (-1, 1), (-1,)),
+]
+FIELDS = [text for text, _, _ in ADMISSIBLE]
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# large denominators give small images, whose ulp is far below any fixed
+# absolute tolerance
+_fraction = st.builds(F, st.integers(-60, 60), st.integers(1, 12) | st.integers(10**5, 10**7))
+
+
+@st.composite
+def _field_elements(draw, count=(1, 6)):
+    """A field from FIELDS, a place of it, and a few elements as coefficient lists."""
+    text = draw(st.sampled_from(FIELDS))
+    degree = pr.degree(field_create(text).minpoly)
+    place = draw(st.integers(0, degree - 1))
+    elems = draw(st.lists(st.lists(_fraction, min_size=degree, max_size=degree), min_size=count[0], max_size=count[1]))
+    return text, place, elems
+
+
+def _coarse_approx(field: NumberField, coeffs, place: int, eps=F(1, 10**17)) -> float:
+    """The approximation path that starts from the coarse isolating interval
+    every time and halves it once per refine_root call, stopping when the
+    value's enclosure is narrower than eps; returns the enclosure's midpoint."""
+    lo, hi = pr.isolate_real_roots(field.minpoly)[place]
+    for _ in range(400):
+        vlo, vhi = pr.eval_interval(coeffs, lo, hi)
+        if vhi - vlo <= eps:
+            return float((vlo + vhi) / 2)
+        if lo == hi:
+            return float(pr.eval_at(coeffs, lo))
+        lo, hi = pr.refine_root(field.minpoly, (lo, hi), (hi - lo) / 2)
+    raise AssertionError("coarse approximation did not converge")
+
+
+def _mp_value(field: NumberField, coeffs, place: int) -> mpmath.mpf:
+    """The image at the place to 50 digits, at the coarse interval bisected below 2^-180."""
+    lo, hi = pr.refine_root(field.minpoly, pr.isolate_real_roots(field.minpoly)[place], F(1, 2**180))
+    with mpmath.workdps(50):
+        mid = (lo + hi) / 2
+        root = mpmath.mpf(mid.numerator) / mid.denominator
+        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * root**k for k, c in enumerate(coeffs))
+
+
+@SETTINGS
+@given(_field_elements())
+def test_approx_at_warm_field_matches_fresh_field(case):
+    text, place, elems = case
+    warm = field_create(text)
+    # narrow the place far beyond what one value needs: the sign of the gap
+    # between the generator and a float-accurate rational is a ~1e-16 decision
+    t = warm.gen()
+    warm.sign_at(t - F(warm.approx_at(t, place)), place)
+    for coeffs in elems:
+        e = warm.elem(coeffs)
+        fresh = field_create(text)
+        assert warm.approx_at(e, place) == fresh.approx_at(fresh.elem(coeffs), place)
+    # every stored interval still isolates the same root as the coarse one
+    for (lo, hi), iv in zip(pr.isolate_real_roots(warm.minpoly), warm.embeddings):
+        assert lo <= iv.lo <= iv.hi <= hi
+        assert iv.lo == iv.hi or pr.count_roots(pr.sturm_chain(warm.minpoly), iv.lo, iv.hi) == 1
+
+
+@SETTINGS
+@given(_field_elements(count=(1, 3)))
+def test_approx_at_is_correctly_rounded(case):
+    text, place, elems = case
+    field = field_create(text)
+    for coeffs in elems:
+        e = field.elem(coeffs)
+        got = field.approx_at(e, place)
+        exact = _mp_value(field, e.coeffs, place)
+        with mpmath.workdps(50):
+            err = abs(exact - mpmath.mpf(got))
+        # correctly rounded: within half an ulp of the 50-digit value
+        assert err <= mpmath.mpf(math.ulp(got)) / 2
+        assert abs(got - _coarse_approx(field, e.coeffs, place)) <= 1e-17 + math.ulp(got)
+
+
+def _coarse_embedding(alg: QuatAlgebra, x) -> np.ndarray:
+    """embed_unramified as written before refinement was cached, over _coarse_approx."""
+    f = alg.field
+    place = _unramified_place(alg)
+    a, b = alg.a, alg.b
+    x0, x1, x2, x3 = x.coords()
+    if f.sign_at(a, place) < 0:
+        a, b = b, a
+        x1, x2, x3 = x2, x1, -x3
+    av, bv = (_coarse_approx(f, v.coeffs, place) for v in (a, b))
+    c0, c1, c2, c3 = (_coarse_approx(f, v.coeffs, place) for v in (x0, x1, x2, x3))
+    ra = math.sqrt(av)
+    mi = np.array([[ra, 0.0], [0.0, -ra]])
+    mj = np.array([[0.0, 1.0], [bv, 0.0]])
+    return c0 * np.eye(2) + c1 * mi + c2 * mj + c3 * (mi @ mj)
+
+
+@settings(SETTINGS, max_examples=25)  # each example runs the coarse path six times
+@given(st.sampled_from(ADMISSIBLE), st.booleans(), st.lists(st.integers(-9, 9), min_size=16, max_size=16))
+def test_embedding_matches_coarse_path(spec, swap, ints):
+    text, a, b = spec
+    field = field_create(text)
+    a, b = field.elem(a), field.elem(b)
+    alg = QuatAlgebra(field=field, a=b, b=a) if swap else QuatAlgebra(field=field, a=a, b=b)
+    assert is_fuchsian_admissible(alg)
+    d = field.degree
+    x = alg.elem(*(field.elem(ints[4 * k : 4 * k + d]) for k in range(4)))
+    assert np.max(np.abs(embed_unramified(alg, x) - _coarse_embedding(alg, x))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sign decisions near zero
+
+
+# Pell convergents c = p/q with |c - sqrt(D)| ~ 1e-12..1e-13, on both sides
+NEAR_ROOTS = [
+    ("x^2 - 2", F(665857, 470832), 1),  # 665857^2 - 2*470832^2 = 1: c - sqrt2 ~ 1.6e-12
+    ("x^2 - 2", F(275807, 195025), -1),  # 275807^2 - 2*195025^2 = -1: c - sqrt2 ~ -9.3e-12
+    ("x^2 - 5", F(930249, 416020), 1),  # 930249^2 - 5*416020^2 = 1: c - sqrt5 ~ 1.3e-12
+    ("x^2 - 5", F(3940598, 1762289), -1),  # 3940598^2 - 5*1762289^2 = -1: c - sqrt5 ~ -7.2e-14
+]
+
+
+@pytest.mark.parametrize("text,c,sign", NEAR_ROOTS)
+def test_sign_near_zero_cold_and_warm(text, c, sign):
+    assert sign == (1 if c * c - int(text[-1]) > 0 else -1)
+    field = field_create(text)
+    rng = np.random.default_rng(229)
+    for state in ("cold", "warm", "warmer"):
+        t = field.gen()
+        # place 1 is +sqrt(D), where c - t is tiny; at place 0 it is c + sqrt(D) > 0
+        assert field.sign_at(c - t, 1) == sign, state
+        assert field.sign_at(t - c, 1) == -sign, state
+        assert field.sign_at(c - t, 0) == 1, state
+        assert field.sign_at(t - c, 0) == -1, state
+        for _ in range(20):  # unrelated calls that refine both places further
+            e = field.elem([int(v) for v in rng.integers(-50, 51, 2)])
+            for place in (0, 1):
+                field.approx_at(e, place)
+                field.sign_at(e - F(int(rng.integers(-9, 10)), 7), place)
+
+
+# ---------------------------------------------------------------------------
+# work counts: each embedding refines once per field, each profile once per algebra
+
+
+def _count_calls(monkeypatch, owner, name) -> list[int]:
+    count = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+def test_embedding_refines_once_per_field(monkeypatch):
+    refines = _count_calls(monkeypatch, pr, "refine_root")
+    for text, a, b in ADMISSIBLE[1:]:
+        field = field_create(text)
+        alg = QuatAlgebra(field=field, a=field.elem(a), b=field.elem(b))
+        d = field.degree
+        rng = np.random.default_rng(331)
+        elems = [alg.elem(*(field.elem([int(v) for v in rng.integers(-9, 10, d)]) for _ in range(4))) for _ in range(41)]
+        refines[0] = 0
+        embed_unramified(alg, elems[0])
+        assert refines[0] > 0, text  # the cold field refines
+        refines[0] = 0
+        embed_unramified(alg, elems[1])
+        assert refines[0] == 0, text
+        # a value that sits unusually close to a rounding boundary may take
+        # one more step; before the intervals were kept, every element took
+        # dozens of refine_root calls per coordinate
+        for x in elems[2:]:
+            embed_unramified(alg, x)
+        assert refines[0] <= 2, text
+
+
+def test_ramification_profile_computed_once(monkeypatch):
+    signs = _count_calls(monkeypatch, NumberField, "sign_at")
+    alg = _algebra_sqrt2()
+    assert ramification_profile(alg) == (Ramification.RAMIFIED, Ramification.UNRAMIFIED)
+    assert signs[0] == 4  # a and b at each of the two places
+    for _ in range(3):
+        ramification_profile(alg)
+        assert is_fuchsian_admissible(alg)
+        assert _unramified_place(alg) == 1
+    assert signs[0] == 4
+    # a new algebra over the same field computes its own
+    swapped = QuatAlgebra(field=alg.field, a=alg.b, b=alg.a)
+    assert ramification_profile(swapped) == ramification_profile(alg)
+    assert signs[0] == 8

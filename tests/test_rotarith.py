@@ -325,6 +325,24 @@ def test_solver_underdetermined_rejected():
         solve_system(EquationSystem(variables=["t"], equations=[(sum_, sum_)]))
 
 
+def test_solver_curve_of_zeros_rejected():
+    # each zero set is a curve or more, which meets the grid as hundreds of
+    # bracketed cells; no run of grid nodes lies on it
+    half, two_fifths = Const(Angle(exact=Fraction(1, 2))), Const(Angle(exact=Fraction(2, 5)))
+    sum_xy = (PlusL(0.0, Var("x"), Var("y")), half)
+    doubling = (PlusL(0.0, Var("x"), Var("x")), two_fifths)
+    rank = "rank < "
+    cases = [
+        (["x", "y"], [sum_xy, sum_xy], rank),
+        (["x", "y"], [doubling, doubling], "'y' appear in no equation"),
+        (["x", "y"], [sum_xy, (PlusL(0.0, Var("y"), Var("x")), half)], rank),
+        (["x", "y", "z"], [sum_xy, sum_xy, (PlusL(0.3, Var("z"), Var("x")), half)], rank),
+    ]
+    for variables, equations, reason in cases:
+        with pytest.raises(NonDiscrete, match=reason):
+            solve_system(EquationSystem(variables=variables, equations=equations), grid=256)
+
+
 def test_solver_no_solution():
     system = EquationSystem(
         variables=["t"],
