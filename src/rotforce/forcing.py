@@ -16,6 +16,7 @@ whose marked generator is forced into {0} plus/minus a requested arc.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -546,6 +547,7 @@ class PropagationResult:
         return out
 
 
+@functools.lru_cache(maxsize=256)
 def _multiples(q: int) -> RotSet:
     return RotSet.from_points([Fraction(k, q) for k in range(q)])
 

@@ -8,28 +8,47 @@ finite union of points and closed arcs; arcs are stored split at 0
 plain sweep and keeps equality exact.  Endpoints stay Fractions when
 given exactly and floats otherwise; mixed comparisons are exact in
 Python, so the two kinds coexist without tolerance fudging.
+
+Because points and arcs are kept sorted, membership is a bisection and
+intersection a merge of the two sorted lists.  A set of exact points
+alone is a subset of (1/L)Z/Z, with L the lcm of its denominators, and
+its algebra runs on the integer residues: a sum of sets is a cyclic
+sumset mod L, scaling by k maps r to k*r mod L, the preimage under
+multiplication by m is {r + j*L} over L*m, and intersection is a set
+intersection.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Union
 
 from .rotarith import Angle
 
 Endpoint = Union[Fraction, float]
 
 
+def _in_unit(v: Fraction) -> bool:
+    return 0 <= v.numerator < v.denominator
+
+
 def _coerce(v) -> Endpoint:
+    if type(v) is Fraction and _in_unit(v):
+        return v
     if isinstance(v, Angle):
         return v.exact if v.exact is not None else v.value
     if isinstance(v, (Fraction, int)):
         return Fraction(v) % 1
-    return float(v) % 1.0
+    return float(v) % 1.0  # also turns -0.0 into 0.0
 
 
 def _mod1(v: Endpoint) -> Endpoint:
+    if type(v) is Fraction and _in_unit(v):
+        return v
     return v % 1 if isinstance(v, Fraction) else v % 1.0
 
 
@@ -43,12 +62,38 @@ def _prefer_exact(a: Endpoint, b: Endpoint) -> Endpoint:
     return a if isinstance(a, Fraction) else b
 
 
+def _covered(arcs, xs) -> Iterator[bool]:
+    """For each value of the sorted sequence xs, whether it lies on one of
+    the sorted, disjoint closed arcs; 0 counts when an arc ends at 1."""
+    wraps = bool(arcs) and arcs[-1][1] == 1
+    k = 0
+    for x in xs:
+        while k < len(arcs) and arcs[k][1] < x:
+            k += 1
+        yield (k < len(arcs) and arcs[k][0] <= x) or (wraps and x == 0)
+
+
+def _residues(s: RotSet) -> tuple[int, list[int]] | None:
+    """(L, rs) with s.points == (r/L for r in rs), when s is exact points alone."""
+    if s.intervals or any(type(p) is not Fraction for p in s.points):
+        return None
+    den = math.lcm(*(p.denominator for p in s.points))
+    return den, [p.numerator * (den // p.denominator) for p in s.points]
+
+
 @dataclass(frozen=True)
 class RotSet:
     """{0} plus finitely many points and closed arcs, mirror-symmetric.
 
     ``intervals`` are closed arcs with 0 <= lo < hi <= 1 after
     normalization; full() is represented by the single arc [0, 1].
+
+    Invariant: ``points`` is sorted and free of repeats, ``intervals`` is
+    sorted and pairwise disjoint (not even touching), no point lies on an
+    arc, and both are closed under x -> 1 - x.  Membership bisects and
+    intersection merges on the strength of this, and the residue algebra
+    relies on the symmetry, so build sets through the constructors below,
+    never by feeding unsorted or asymmetric tuples to the dataclass.
     """
 
     points: tuple[Endpoint, ...]
@@ -107,20 +152,21 @@ class RotSet:
                 merged.append([lo, hi])
         arcs_t = tuple((lo, hi) for lo, hi in merged)
 
-        def covered(v) -> bool:
-            return any(lo <= v <= hi for lo, hi in arcs_t) or (
-                v == 0 and any(hi == 1 for _, hi in arcs_t)
-            )
-
         uniq: list[Endpoint] = []
-        for v in sorted(pts):
-            if covered(v):
+        pts = sorted(pts)
+        for v, covered in zip(pts, _covered(arcs_t, pts)):
+            if covered:
                 continue
             if uniq and uniq[-1] == v:
                 uniq[-1] = _prefer_exact(uniq[-1], v)
             else:
                 uniq.append(v)
         return cls(points=tuple(uniq), intervals=arcs_t)
+
+    @classmethod
+    def _from_residues(cls, den: int, rs: Iterable[int]) -> "RotSet":
+        """{r/den : r in rs}; rs must contain 0 and be closed under r -> -r mod den."""
+        return cls(points=tuple(Fraction(r, den) for r in sorted(rs)), intervals=())
 
     @classmethod
     def full(cls) -> "RotSet":
@@ -136,6 +182,7 @@ class RotSet:
 
     @classmethod
     def from_intervals(cls, intervals: Iterable) -> "RotSet":
+        """{0} plus the given closed arcs plus their mirror images."""
         return cls.build(intervals=intervals)
 
     # -- queries -----------------------------------------------------------
@@ -148,16 +195,16 @@ class RotSet:
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _mod1(_coerce(x))
-        for v in self.points:
-            d = abs(x - v)
-            if min(d, 1 - d) <= tol:
-                return True
-        # Exact comparisons first: mixing tol into the arithmetic would
-        # promote Fraction endpoints to floats and lose endpoint hits.
-        for lo, hi in self.intervals:
-            if lo <= x <= hi or x + 1 <= hi or x - 1 >= lo:
-                return True
         if tol > 0:
+            for v in self.points:
+                d = abs(x - v)
+                if min(d, 1 - d) <= tol:
+                    return True
+            # Exact comparisons first: mixing tol into the arithmetic would
+            # promote Fraction endpoints to floats and lose endpoint hits.
+            for lo, hi in self.intervals:
+                if lo <= x <= hi or x + 1 <= hi or x - 1 >= lo:
+                    return True
             xf = float(x)
             for lo, hi in self.intervals:
                 lof, hif = float(lo), float(hi)
@@ -165,7 +212,23 @@ class RotSet:
                     return True
                 if xf + 1 <= hif + tol or xf - 1 >= lof - tol:
                     return True
-        return False
+            return False
+        pts, arcs = self.points, self.intervals
+        i = bisect_left(pts, x)
+        if i < len(pts) and pts[i] == x:
+            return True
+        k = bisect_right(arcs, x, key=itemgetter(0)) - 1  # the last arc starting at or before x
+        return (k >= 0 and x <= arcs[k][1]) or (x == 0 and bool(arcs) and arcs[-1][1] == 1)
+
+    def _members(self, xs) -> list[Endpoint]:
+        """The values of the sorted sequence xs that lie in self, by one merge walk."""
+        pts, i, out = self.points, 0, []
+        for x, covered in zip(xs, _covered(self.intervals, xs)):
+            while i < len(pts) and pts[i] < x:
+                i += 1
+            if covered or (i < len(pts) and pts[i] == x):
+                out.append(x)
+        return out
 
     def point_values(self) -> list[Endpoint]:
         return list(self.points)
@@ -179,26 +242,49 @@ class RotSet:
         )
 
     def intersect(self, other: "RotSet") -> "RotSet":
-        pts = [p for p in self.points if other.contains(p)]
-        pts += [p for p in other.points if self.contains(p)]
+        if (ra := _residues(self)) and (rb := _residues(other)):
+            den = math.lcm(ra[0], rb[0])
+            theirs = {r * (den // rb[0]) for r in rb[1]}
+            u = den // ra[0]
+            pts = tuple(p for p, r in zip(self.points, ra[1]) if r * u in theirs)
+            return self if len(pts) == len(self.points) else RotSet(points=pts, intervals=())
+        pts = other._members(self.points) + self._members(other.points)
         arcs = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo < hi:
-                    arcs.append((lo, hi))
-                elif lo == hi:
-                    pts.append(lo)
+        a, b = self.intervals, other.intervals
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo < hi:
+                arcs.append((lo, hi))
+            elif lo == hi:
+                pts.append(lo)
+            # the arc that ends first meets nothing further on the other side
+            if ahi <= bhi:
+                i += 1
+            if bhi <= ahi:
+                j += 1
         return RotSet._normalized(pts, arcs)
 
     def is_subset(self, other: "RotSet") -> bool:
-        return self.union(other) == other
+        if len(other._members(self.points)) < len(self.points):
+            return False
+        arcs, k = other.intervals, 0
+        for lo, hi in self.intervals:
+            while k < len(arcs) and arcs[k][1] < hi:
+                k += 1
+            if k == len(arcs) or lo < arcs[k][0]:
+                return False
+        return True
 
     def scale_image(self, k: int) -> "RotSet":
         """{k*x : x in self}; symmetric sets make the sign of k irrelevant."""
         k = abs(int(k))
         if k == 0:
             return RotSet.zero_only()
+        if r := _residues(self):
+            den, rs = r
+            return RotSet._from_residues(den, {k * x % den for x in rs})
         pts = [k * p for p in self.points]
         arcs = []
         for lo, hi in self.intervals:
@@ -212,6 +298,9 @@ class RotSet:
         m = abs(int(m))
         if m == 0:
             raise ValueError("preimage under multiplication by 0")
+        if r := _residues(self):
+            den, rs = r
+            return RotSet._from_residues(den * m, [x + j * den for j in range(m) for x in rs])
         pts = []
         arcs = []
         for p in self.points:
@@ -225,6 +314,11 @@ class RotSet:
 
     def minkowski(self, other: "RotSet") -> "RotSet":
         """Closure of {x + y}; both inputs symmetric, so this is symmetric too."""
+        if (ra := _residues(self)) and (rb := _residues(other)):
+            den = math.lcm(ra[0], rb[0])
+            ys = [y * (den // rb[0]) for y in rb[1]]
+            u = den // ra[0]
+            return RotSet._from_residues(den, {(x * u + y) % den for x in ra[1] for y in ys})
         pts = [p + q for p in self.points for q in other.points]
         arcs = []
         for lo, hi in self.intervals:
@@ -240,9 +334,6 @@ class RotSet:
                 arcs.append((_mod1(blo + p), _mod1(blo + p) + (bhi - blo)))
         return RotSet.build(points=pts, intervals=arcs)
 
-    def mirrored(self) -> "RotSet":
-        return self  # symmetry is a construction invariant
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -257,14 +348,7 @@ class RotSet:
         return "{" + ", ".join(parts) + "}"
 
 
-def rotset_union(s1: RotSet, s2: RotSet) -> RotSet:
-    return s1.union(s2)
-
-
-def rotset_intersect(s1: RotSet, s2: RotSet) -> RotSet:
-    return s1.intersect(s2)
-
-
-def rotset_symmetrize(intervals: Iterable) -> RotSet:
-    """{0} plus the given closed arcs plus their mirror images."""
-    return RotSet.from_intervals(intervals)
+# kept as module-level names because ``forcing`` re-exports them
+rotset_union = RotSet.union
+rotset_intersect = RotSet.intersect
+rotset_symmetrize = RotSet.from_intervals

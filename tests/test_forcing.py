@@ -404,3 +404,28 @@ def test_outer_approximation_rejects_bad_covers():
         )
     with pytest.raises(ValueError):
         outer_approximation([(F(1, 4), F(1, 3))], 0)
+
+
+def test_commuting_sumset_work_stays_near_linear(monkeypatch):
+    # 3*(Z/17) + 2*(Z/19) = (1/323)Z, and its preimage under 5 is (1/1615)Z.
+    # The scan-based set algebra made 8.86 M Fraction comparisons here; the
+    # residue path needs about 5 k.  Counting them gates the algorithm, not
+    # the machine's speed.
+    p = parse_presentation(
+        "gens a, b, c\ncommute (a, b)\nrels a^3 b^2 = c^5\ntorsion a:17, b:19\nmark c\n"
+    )
+    compares = 0
+    richcmp = Fraction._richcmp
+
+    def counting(self, other, op):
+        nonlocal compares
+        compares += 1
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting)
+    r = propagate(p)
+    monkeypatch.undo()
+    assert len(r.certificate.entries) == 3
+    assert r.marked["c"].points == tuple(F(k, 1615) for k in range(1615))
+    assert r.marked["c"].intervals == ()
+    assert compares <= 300_000, compares

@@ -1,10 +1,14 @@
 """Tests for symmetric circle subsets: normalization, set algebra, scaling."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotforce import rotset
 from rotforce.rotset import RotSet, rotset_intersect, rotset_symmetrize, rotset_union
 
 F = Fraction
@@ -22,7 +26,7 @@ def test_mirror_symmetry_of_points():
     s = RotSet.from_points([F(1, 5)])
     assert s.contains(F(4, 5))
     assert set(s.point_values()) == {F(0), F(1, 5), F(4, 5)}
-    assert s.mirrored() == s
+    assert {(1 - p) % 1 for p in s.points} == set(s.points)
 
 
 def test_mirror_symmetry_of_arcs():
@@ -200,3 +204,306 @@ def test_equality_prefers_exact_endpoints():
 def test_preimage_by_zero_rejected():
     with pytest.raises(ValueError):
         RotSet.full().scale_preimage(0)
+
+
+# ---------------------------------------------------------------------------
+# The scan-based algebra that the merge and residue paths replaced, kept as
+# the reference: every point tested against every point and arc, and every
+# result pushed through a full normalization.
+
+
+def _ref_coerce(v):
+    if isinstance(v, (F, int)):
+        return F(v) % 1
+    return float(v) % 1.0
+
+
+def _ref_mod1(v):
+    return v % 1 if isinstance(v, F) else v % 1.0
+
+
+def _ref_normalized(pts, arcs):
+    merged = []
+    for lo, hi in sorted(arcs, key=lambda ab: (ab[0], ab[1])):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    arcs_t = tuple((lo, hi) for lo, hi in merged)
+
+    def covered(v):
+        return any(lo <= v <= hi for lo, hi in arcs_t) or (v == 0 and any(hi == 1 for _, hi in arcs_t))
+
+    uniq = []
+    for v in sorted(pts):
+        if covered(v):
+            continue
+        if uniq and uniq[-1] == v:
+            uniq[-1] = uniq[-1] if isinstance(uniq[-1], F) else v
+        else:
+            uniq.append(v)
+    return RotSet(points=tuple(uniq), intervals=arcs_t)
+
+
+def _ref_build(points=(), intervals=()):
+    pts, arcs = [F(0)], []
+
+    def add_point(v):
+        v = _ref_mod1(_ref_coerce(v))
+        pts.append(v)
+        pts.append(_ref_mod1(1 - v))
+
+    for v in points:
+        add_point(v)
+    for lo, hi in intervals:
+        if hi - lo >= 1:
+            arcs.append((F(0), F(1)))
+            continue
+        lo, hi = _ref_coerce(lo), _ref_coerce(hi)
+        if lo == hi:
+            add_point(lo)
+            continue
+        for a, b in ((lo, hi), (_ref_mod1(1 - hi), _ref_mod1(1 - lo))):
+            if a < b:
+                arcs.append((a, b))
+            else:
+                if a < 1:
+                    arcs.append((a, F(1) if isinstance(a, F) else 1.0))
+                if 0 < b:
+                    arcs.append((F(0) if isinstance(b, F) else 0.0, b))
+    return _ref_normalized(pts, arcs)
+
+
+def _ref_contains(s, x, tol=0.0):
+    x = _ref_mod1(_ref_coerce(x))
+    for v in s.points:
+        d = abs(x - v)
+        if min(d, 1 - d) <= tol:
+            return True
+    for lo, hi in s.intervals:
+        if lo <= x <= hi or x + 1 <= hi or x - 1 >= lo:
+            return True
+    if tol > 0:
+        xf = float(x)
+        for lo, hi in s.intervals:
+            lof, hif = float(lo), float(hi)
+            if lof - tol <= xf <= hif + tol:
+                return True
+            if xf + 1 <= hif + tol or xf - 1 >= lof - tol:
+                return True
+    return False
+
+
+def _ref_intersect(a, b):
+    pts = [p for p in a.points if _ref_contains(b, p)]
+    pts += [p for p in b.points if _ref_contains(a, p)]
+    arcs = []
+    for alo, ahi in a.intervals:
+        for blo, bhi in b.intervals:
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo < hi:
+                arcs.append((lo, hi))
+            elif lo == hi:
+                pts.append(lo)
+    return _ref_normalized(pts, arcs)
+
+
+def _ref_is_subset(a, b):
+    return _ref_normalized(list(a.points) + list(b.points), list(a.intervals) + list(b.intervals)) == b
+
+
+def _ref_scale_image(s, k):
+    k = abs(k)
+    if k == 0:
+        return RotSet.zero_only()
+    arcs = []
+    for lo, hi in s.intervals:
+        if k * (hi - lo) >= 1:
+            return RotSet.full()
+        arcs.append((_ref_mod1(k * lo), _ref_mod1(k * lo) + k * (hi - lo)))
+    return _ref_build([k * p for p in s.points], arcs)
+
+
+def _ref_scale_preimage(s, m):
+    pts = [(p + j) / m for p in s.points for j in range(m)]
+    arcs = [((lo + j) / m, (hi + j) / m) for lo, hi in s.intervals for j in range(m)]
+    return _ref_build(pts, arcs)
+
+
+def _ref_minkowski(a, b):
+    pts = [p + q for p in a.points for q in b.points]
+    arcs = []
+    for lo, hi in a.intervals:
+        for q in b.points:
+            arcs.append((_ref_mod1(lo + q), _ref_mod1(lo + q) + (hi - lo)))
+        for blo, bhi in b.intervals:
+            span = (hi - lo) + (bhi - blo)
+            if span >= 1:
+                return RotSet.full()
+            arcs.append((_ref_mod1(lo + blo), _ref_mod1(lo + blo) + span))
+    for p in a.points:
+        for blo, bhi in b.intervals:
+            arcs.append((_ref_mod1(blo + p), _ref_mod1(blo + p) + (bhi - blo)))
+    return _ref_build(pts, arcs)
+
+
+# Endpoint pools.  Dyadic floats equal Fractions exactly, so points on arc
+# endpoints, touching arcs and equal values of both kinds come up often; the
+# random floats are never within a rounding error of a pool Fraction.
+_EXACT_POOL = [F(k, d) for d in (2, 3, 4, 5, 6, 8, 12, 16) for k in range(d)] + [F(1)]
+_DYADIC_FLOATS = [k / 16 for k in range(17)]
+
+
+def _random_set(rng, exact_only=False, with_arcs=True):
+    def value():
+        r = rng.random()
+        if exact_only or r < 0.55:
+            return _EXACT_POOL[int(rng.integers(len(_EXACT_POOL)))]
+        if r < 0.8:
+            return _DYADIC_FLOATS[int(rng.integers(len(_DYADIC_FLOATS)))]
+        return float(rng.uniform(0, 1))
+
+    pts = [value() for _ in range(int(rng.integers(0, 6)))]
+    arcs = []
+    for _ in range(int(rng.integers(0, 4)) if with_arcs else 0):
+        if rng.random() < 0.04:
+            arcs.append((F(1, 3), F(4, 3)))  # the whole circle
+        else:
+            arcs.append((value(), value()))  # lo > hi wraps through 0
+    return pts, arcs
+
+
+def _probes(rng, *sets):
+    xs = [F(0), 0.0, -0.0, 1, 1.0, -1e-20, F(-1, 3), 0.25, F(1, 4), float(rng.uniform(0, 1))]
+    assert -1e-20 % 1.0 == 1.0  # a float that reduces to 1.0 before the second reduction
+    for s in sets:
+        xs += list(s.points)
+        for lo, hi in s.intervals:
+            xs += [lo, hi, (lo + hi) / 2]
+    return xs
+
+
+def test_differential_against_scan_reference():
+    rng = np.random.default_rng(2003)
+    for trial in range(300):
+        (pa, aa), (pb, ab) = _random_set(rng, with_arcs=trial % 4 != 0), _random_set(rng, with_arcs=trial % 3 != 0)
+        a, b = RotSet.build(pa, aa), RotSet.build(pb, ab)
+        assert repr(a) == repr(_ref_build(pa, aa))
+        assert repr(b) == repr(_ref_build(pb, ab))
+        for x in _probes(rng, a, b):
+            for tol in (0.0, 1e-9, 0.03):
+                assert a.contains(x, tol) == _ref_contains(a, x, tol), (a, x, tol)
+        assert repr(a.intersect(b)) == repr(_ref_intersect(a, b))
+        assert repr(b.intersect(a)) == repr(_ref_intersect(b, a))
+        assert a.is_subset(b) == _ref_is_subset(a, b)
+        assert a.intersect(b).is_subset(a) and _ref_is_subset(a.intersect(b), a)
+        assert repr(a.minkowski(b)) == repr(_ref_minkowski(a, b))
+        for k in (0, 1, 2, 3, -5):
+            assert repr(a.scale_image(k)) == repr(_ref_scale_image(a, k))
+        for m in (1, 2, 3):
+            assert repr(a.scale_preimage(m)) == repr(_ref_scale_preimage(a, m))
+
+
+def test_differential_edge_cases():
+    touching = [RotSet.from_intervals([(F(1, 10), F(1, 5))]), RotSet.from_intervals([(F(1, 5), F(3, 10))]),
+                RotSet.from_intervals([(0.2, 0.3)]), RotSet.build([F(1, 5), 0.2], [(F(3, 4), 1)]),
+                RotSet.build([0.25], [(0.0, F(1, 8))]), RotSet.from_intervals([(F(7, 8), F(1, 8))]),
+                RotSet.full(), RotSet.zero_only(), RotSet.build(intervals=[(0.0, 1.0)])]
+    for a in touching:
+        for b in touching:
+            assert repr(a.intersect(b)) == repr(_ref_intersect(a, b)), (a, b)
+            assert a.is_subset(b) == _ref_is_subset(a, b), (a, b)
+            assert repr(a.minkowski(b)) == repr(_ref_minkowski(a, b)), (a, b)
+        for x in (0, -0.0, 1.0, -1e-20, 0.2, F(1, 5), F(3, 4), 0.75, F(1, 8), 0.999):
+            for tol in (0.0, 1e-12):
+                assert a.contains(x, tol) == _ref_contains(a, x, tol), (a, x)
+    # touching arcs intersect in their shared endpoint, kept as a point
+    assert touching[0].intersect(touching[1]).points == (F(0), F(1, 5), F(4, 5))
+    # an arc ending at 1 covers 0 through the wrap, for both kinds of zero
+    assert touching[3].contains(-0.0) and touching[3].contains(F(0))
+    assert RotSet.build([-0.0]).points == (F(0),)
+
+
+def test_contains_is_exact_where_the_scan_rounded():
+    # The scan subtracted a float from a Fraction in float arithmetic, so a
+    # float one rounding away from an exact point counted as a hit.
+    # Membership now compares exactly, as is_subset always did.
+    tenth = RotSet.from_points([F(1, 10)])
+    assert _ref_contains(tenth, 0.1) and not tenth.contains(0.1)
+    assert tenth.contains(F(1, 10)) and tenth.contains(0.1, tol=1e-12)
+    assert repr(tenth.intersect(RotSet.from_points([0.1]))) == repr(RotSet.zero_only())
+
+
+def test_residue_results_skip_normalization_but_match_it():
+    a = RotSet.from_points([F(k, 17) for k in range(17)]).scale_image(3)
+    b = RotSet.from_points([F(k, 19) for k in range(19)]).scale_image(2)
+    s = a.minkowski(b)
+    assert s.points == tuple(F(k, 323) for k in range(323))
+    pre = s.scale_preimage(5)
+    assert pre.points == tuple(F(k, 1615) for k in range(1615))
+    assert pre.intersect(s) == s
+    assert s.intersect(pre) is s  # an unchanged left side is returned as it is
+
+
+# ---------------------------------------------------------------------------
+# algebraic laws
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+_exact = st.builds(F, st.integers(-12, 36), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 24]))
+_mixed = st.one_of(_exact, st.sampled_from(_DYADIC_FLOATS), st.floats(0, 1, exclude_max=True))
+
+
+def _sets(values, max_arcs=3):
+    return st.builds(
+        RotSet.build, st.lists(values, max_size=6), st.lists(st.tuples(values, values), max_size=max_arcs)
+    )
+
+
+def _mirror_closed(s):
+    return {(1 - p) % 1 for p in s.points} == set(s.points) and {
+        (1 - hi, 1 - lo) for lo, hi in s.intervals
+    } == set(s.intervals)
+
+
+def _samples(s):
+    return list(s.points) + [x for lo, hi in s.intervals for x in (lo, (lo + hi) / 2, hi)]
+
+
+@SETTINGS
+@given(_sets(_mixed), _sets(_mixed))
+def test_intersect_laws(a, b):
+    ab = a.intersect(b)
+    assert ab == b.intersect(a)
+    assert a.intersect(a) == a
+    assert ab.is_subset(a) and ab.is_subset(b)
+    assert all(a.contains(x) and b.contains(x) for x in _samples(ab))
+
+
+@SETTINGS
+@given(_sets(_exact), _sets(_exact))
+def test_minkowski_is_symmetric(a, b):
+    s = a.minkowski(b)
+    assert _mirror_closed(s)
+    assert s == b.minkowski(a)
+
+
+@SETTINGS
+@given(_sets(_exact), st.integers(1, 7), st.booleans())
+def test_scale_image_then_preimage_keeps_every_point(s, k, negate):
+    back = s.scale_image(-k if negate else k).scale_preimage(k)
+    assert all(back.contains(x) for x in _samples(s))
+    assert s.is_subset(back)
+
+
+@SETTINGS
+@given(_sets(_exact, max_arcs=0), _sets(_exact, max_arcs=0), st.integers(0, 6), st.integers(1, 4))
+def test_residue_path_equals_merge_path(a, b, k, m):
+    def results():
+        return [a.intersect(b), b.intersect(a), a.minkowski(b), a.scale_image(k), a.scale_preimage(m)]
+
+    fast = results()
+    with mock.patch.object(rotset, "_residues", lambda s: None):
+        slow = results()
+    assert [repr(x) for x in fast] == [repr(x) for x in slow]
