@@ -13,6 +13,7 @@ domain (the library's ValueError family), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -24,10 +25,6 @@ from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_tuples, milnor
 from .moebius import CLASS_TOL, HPoint, MoebiusReal, elliptic_rotation_number, rotation_about
 
 __all__ = ["main"]
-
-
-def _fmt_frac(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _angle_arg(text: str):
@@ -180,14 +177,8 @@ def _cmd_solve(args) -> None:
     )
 
 
-def _parse_sig(text: str) -> OrbifoldSig:
-    genus_part, _, orders_part = text.partition(";")
-    orders = tuple(int(x) for x in orders_part.split(",") if x) if orders_part else ()
-    return OrbifoldSig(genus=int(genus_part), cone_orders=orders)
-
-
 def _cmd_euler_feasible(args) -> None:
-    sig = _parse_sig(args.sig)
+    sig = OrbifoldSig.parse(args.sig)
     check_manifold_cover(sig, args.degree, args.cover_chi)
     fixed = {}
     if args.fix:
@@ -205,7 +196,7 @@ def _cmd_euler_feasible(args) -> None:
     tuples = feasible_tuples(sig, args.degree, args.cover_chi, fixed=fixed or None, maximal=args.maximal)
     rows = []
     for t in tuples:
-        row = {"n": t.n, "rots": [_fmt_frac(r) for r in t.rots]}
+        row = {"n": t.n, "rots": [str(r) for r in t.rots]}
         if len(free_slots) == 1:
             slot = free_slots[0]
             row["p"] = int(t.rots[slot] * sig.cone_orders[slot])
@@ -296,7 +287,7 @@ def _cmd_triangle(args) -> None:
         {
             "matrices": [[[m.a, m.b], [m.c, m.d]] for m in mats],
             "rotation_numbers": [elliptic_rotation_number(m) for m in mats],
-            "expected": [_fmt_frac(Fraction(1, n)) for n in (args.p, args.q, args.r)],
+            "expected": [str(Fraction(1, n)) for n in (args.p, args.q, args.r)],
             "relator_residual": residual,
             "tolerance": CLASS_TOL,
         },
@@ -329,6 +320,7 @@ def _cmd_denjoy(args) -> None:
 # argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented human-readable JSON")

@@ -13,6 +13,7 @@ Fraction arithmetic -- no floats.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -36,8 +37,20 @@ class OrbifoldSig:
         if any(p < 2 for p in self.cone_orders):
             raise ValueError("cone orders must be at least 2")
 
-    def euler_char(self) -> Fraction:
-        return orbifold_euler_char(self)
+    @classmethod
+    def parse(cls, text: str) -> "OrbifoldSig":
+        """Read the text form ``g;p1,...,pk``, or ``g`` when there are no cone points."""
+        m = re.fullmatch(r"([0-9]+)(?:;([0-9]+(?:,[0-9]+)*))?", text)
+        try:
+            if not m:
+                raise ValueError("want 'g;p1,...,pk' or 'g'")
+            return cls(int(m[1]), tuple(map(int, m[2].split(","))) if m[2] else ())
+        except ValueError as exc:
+            raise ValueError(f"bad orbifold signature {text!r}: {exc}") from None
+
+    def __str__(self) -> str:
+        orders = ",".join(map(str, self.cone_orders))
+        return f"{self.genus};{orders}" if orders else str(self.genus)
 
 
 def orbifold_euler_char(sig: OrbifoldSig) -> Fraction:
@@ -60,7 +73,7 @@ def check_manifold_cover(sig: OrbifoldSig, degree: int, chi: int) -> None:
     expected = degree * orbifold_euler_char(sig)
     if chi != expected:
         raise ValueError(
-            f"a degree-{degree} cover of the {sig.genus};{','.join(map(str, sig.cone_orders))} orbifold "
+            f"a degree-{degree} cover of the {sig} orbifold "
             f"has Euler characteristic {expected}, not {chi}"
         )
     for p in sig.cone_orders:
@@ -114,24 +127,6 @@ def _slot_values(order: int, pin: Fraction | None) -> list[Fraction]:
     return [pin]
 
 
-def _enumerate(sig: OrbifoldSig, degree: int, bound: int, pins: dict[int, Fraction | None], maximal: bool):
-    slots = [_slot_values(p, pins.get(i)) for i, p in enumerate(sig.cone_orders)]
-    n_window = 1 + len(sig.cone_orders) + (bound + degree - 1) // degree
-    out = set()
-    for rots in itertools.product(*slots):
-        s = sum(rots, Fraction(0))
-        for n in range(-n_window, n_window + 1):
-            lifted = lift_euler(Fraction(n) - s, degree)
-            if lifted.denominator != 1:
-                continue
-            if abs(lifted) > bound:
-                continue
-            if maximal and abs(lifted) != bound:
-                continue
-            out.add(ConeRotTuple(n=n, rots=tuple(rots)))
-    return out
-
-
 def feasible_tuples(
     sig: OrbifoldSig,
     degree: int,
@@ -163,6 +158,19 @@ def feasible_tuples(
     if free > 3:
         raise BudgetExceeded(f"{free} free cone slots; pin at least {free - 3} of them")
 
-    out = _enumerate(sig, degree, bound, pins, maximal)
+    # The lifted Euler number degree*n - s, s = degree*sum(rots), is an integer
+    # within the bound: so is s, and n fills an interval (or its two ends).
+    slots = [_slot_values(p, pins.get(i)) for i, p in enumerate(sig.cone_orders)]
+    out = set()
+    for rots in itertools.product(*slots):
+        s = degree * sum(rots, Fraction(0))
+        if s.denominator != 1:
+            continue
+        s = s.numerator
+        if maximal:
+            ns = {(s + e) // degree for e in (bound, -bound) if (s + e) % degree == 0}
+        else:
+            ns = range(-((bound - s) // degree), (s + bound) // degree + 1)
+        out.update(ConeRotTuple(n=n, rots=rots) for n in ns)
     out |= {t.mirrored() for t in out}
     return sorted(out)

@@ -217,14 +217,24 @@ def _statements(text: str) -> list[str]:
     return out
 
 
+def _number(tok: str, kind=int):
+    """``kind(tok)``, with malformed and non-finite numbers as syntax errors."""
+    try:
+        v = kind(tok)
+        if kind is float and not math.isfinite(v):
+            raise ValueError
+        return v
+    except (ValueError, ZeroDivisionError):
+        what = "an integer" if kind is int else "a finite number"
+        raise PresentationSyntaxError(f"{tok!r} is not {what}") from None
+
+
 def _parse_value(tok: str):
     tok = tok.strip()
-    if "/" in tok:
-        return Fraction(tok)
     try:
         return Fraction(int(tok))
     except ValueError:
-        return float(tok)
+        return _number(tok, Fraction if "/" in tok else float)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -301,7 +311,7 @@ def parse_presentation(text: str) -> Presentation:
             elif head == "torsion":
                 for part in rest.split(","):
                     name, _, order = part.partition(":")
-                    q = int(order)
+                    q = _number(order)
                     if q < 1:
                         raise PresentationSyntaxError(f"torsion order must be >= 1: {part!r}")
                     torsions.append((need(name.strip(), stmt), q))
@@ -320,7 +330,8 @@ def parse_presentation(text: str) -> Presentation:
                 kv = dict(re.findall(r"(\w+)\s*=\s*([^\s]+)", params))
                 if set(kv) != {"l", "theta"}:
                     raise PresentationSyntaxError(f"expected 'exclude g: l=.. theta=..': {stmt!r}")
-                excludes.append((need(name.strip(), stmt), float(kv["l"]), float(kv["theta"])))
+                l, theta = _number(kv["l"], float), _number(kv["theta"], float)
+                excludes.append((need(name.strip(), stmt), l, theta))
             elif head == "mark":
                 for n in rest.split(","):
                     n = n.strip()
@@ -345,46 +356,36 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def _parse_orbifold(rest: str, need) -> OrbifoldData:
-    toks = rest.split()
-    genus = None
-    orders: tuple[int, ...] = ()
-    degree = cover_chi = None
+    fields: dict[str, str] = {}
     maximal = False
     cone_map: list[tuple[str, int]] = []
-    i = 0
-    while i < len(toks):
-        tok = toks[i]
-        if tok.startswith("sig="):
-            sig_v = tok[4:]
-            g_part, _, o_part = sig_v.partition(";")
-            genus = int(g_part)
-            orders = tuple(int(x) for x in o_part.split(",") if x) if o_part else ()
-        elif tok.startswith("degree="):
-            degree = int(tok[7:])
-        elif tok.startswith("coverchi="):
-            cover_chi = int(tok[9:])
+    toks = iter(rest.split())
+    for tok in toks:
+        key, eq, value = tok.partition("=")
+        if eq and key in ("sig", "degree", "coverchi"):
+            fields[key] = value
         elif tok == "maximal":
             maximal = True
         elif tok == "map":
-            i += 1
-            if i >= len(toks):
+            target = next(toks, None)
+            if target is None:
                 raise PresentationSyntaxError("dangling 'map'")
-            for part in toks[i].split(","):
+            for part in target.split(","):
                 name, _, slot = part.partition(":")
-                s = int(slot)
-                if not 1 <= s <= len(orders):
-                    raise PresentationSyntaxError(f"cone slot {s} out of range (1..{len(orders)})")
-                cone_map.append((need(name.strip(), rest), s - 1))
+                cone_map.append((need(name.strip(), rest), _number(slot) - 1))
         else:
             raise PresentationSyntaxError(f"unknown orbifold token {tok!r}")
-        i += 1
-    if genus is None or degree is None or cover_chi is None:
+    if len(fields) != 3:
         raise PresentationSyntaxError("orbifold needs sig=, degree= and coverchi=")
+    degree, cover_chi = _number(fields["degree"]), _number(fields["coverchi"])
     try:
-        sig = OrbifoldSig(genus=genus, cone_orders=orders)
+        sig = OrbifoldSig.parse(fields["sig"])
         check_manifold_cover(sig, degree, cover_chi)
     except ValueError as exc:
         raise PresentationSyntaxError(str(exc)) from None
+    for _, s in cone_map:
+        if not 0 <= s < len(sig.cone_orders):
+            raise PresentationSyntaxError(f"cone slot {s + 1} out of range (1..{len(sig.cone_orders)})")
     return OrbifoldData(
         sig=sig,
         degree=degree,
@@ -417,8 +418,7 @@ def print_presentation(p: Presentation) -> str:
     for g, q in p.torsions:
         lines.append(f"torsion {g}:{q};")
     for ob in p.orbifolds:
-        sig = f"{ob.sig.genus}" + (";" + ",".join(str(o) for o in ob.sig.cone_orders) if ob.sig.cone_orders else "")
-        parts = [f"orbifold sig={sig}", f"degree={ob.degree}", f"coverchi={ob.cover_chi}"]
+        parts = [f"orbifold sig={ob.sig}", f"degree={ob.degree}", f"coverchi={ob.cover_chi}"]
         if ob.maximal:
             parts.append("maximal")
         for g, slot in ob.cone_map:
@@ -686,11 +686,8 @@ class _Engine:
                 for t in self.orb_cache[oi]
                 if all(self.state[g].contains(t.rots[slot]) for g, slot in ob.cone_map)
             ]
-            premise_base = (
-                f"orbifold sig={ob.sig.genus};{','.join(map(str, ob.sig.cone_orders))} "
-                f"degree={ob.degree} coverchi={ob.cover_chi}"
-                + (" maximal" if ob.maximal else "")
-            )
+            maximal = " maximal" if ob.maximal else ""
+            premise_base = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
             for g, slot in ob.cone_map:
                 values = [Fraction(0)] + [t.rots[slot] for t in tuples]
                 cites = tuple(self.cite(h) for h, _ in ob.cone_map)

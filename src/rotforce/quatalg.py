@@ -571,7 +571,10 @@ class _ExprParser:
     def parse(self):
         if not self.toks:
             raise AlgebraSpecError("empty expression")
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            raise AlgebraSpecError("expression nested too deeply") from None
         if self.peek() is not None:
             raise AlgebraSpecError(f"trailing input at {self.peek()!r}")
         return v

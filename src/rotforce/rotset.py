@@ -27,8 +27,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
-from .rotarith import Angle
-
 Endpoint = Union[Fraction, float]
 
 
@@ -39,8 +37,6 @@ def _in_unit(v: Fraction) -> bool:
 def _coerce(v) -> Endpoint:
     if type(v) is Fraction and _in_unit(v):
         return v
-    if isinstance(v, Angle):
-        return v.exact if v.exact is not None else v.value
     if isinstance(v, (Fraction, int)):
         return Fraction(v) % 1
     return float(v) % 1.0  # also turns -0.0 into 0.0
@@ -117,9 +113,7 @@ class RotSet:
             pts.append(_mod1(1 - v))
 
         def add_arc(lo, hi):
-            lo_raw = lo.value if isinstance(lo, Angle) else lo
-            hi_raw = hi.value if isinstance(hi, Angle) else hi
-            if hi_raw - lo_raw >= 1:  # a full turn or more: the whole circle
+            if hi - lo >= 1:  # a full turn or more: the whole circle
                 arcs.append((Fraction(0), Fraction(1)))
                 return
             lo, hi = _coerce(lo), _coerce(hi)
@@ -127,7 +121,9 @@ class RotSet:
                 add_point(lo)
                 return
             for a, b in ((lo, hi), (_mod1(1 - hi), _mod1(1 - lo))):
-                if a < b:
+                if a == b:  # a float arc so short that its mirror rounds to a point
+                    pts.append(a)
+                elif a < b:
                     arcs.append((a, b))
                 else:  # wraps through 0
                     if a < 1:

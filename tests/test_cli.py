@@ -154,6 +154,12 @@ def test_euler_feasible_rejects_impossible_cover(capsys, sig, degree, chi, messa
     assert code == 1 and out == "" and "error:" in err and message in err
 
 
+@pytest.mark.parametrize("sig", ["0;2,x", "0;", "x", "0;1", "-1;2,3,7", "0,2,3,7"])
+def test_euler_feasible_rejects_malformed_signature(capsys, sig):
+    code, out, err = run(capsys, ["euler-feasible", f"--sig={sig}", "--degree", "1", "--cover-chi", "2"])
+    assert code == 1 and out == "" and err.startswith("error: bad orbifold signature " + repr(sig))
+
+
 def test_euler_feasible_klein_pinned(capsys):
     doc = run_json(
         capsys,
@@ -203,6 +209,13 @@ def test_quat_analyze(tmp_path, capsys):
     assert doc["meta"]["seed"] == 7
 
 
+def test_quat_deep_nesting_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(QUAT_SPEC + "elem v: " + "(" * 3000 + "t" + ")" * 3000 + "\n")
+    code, out, err = run(capsys, ["quat", "analyze", str(path)])
+    assert code == 1 and out == "" and err.startswith("error: element 'v': expression nested too deeply")
+
+
 def test_force_triangle_cover(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text(TRIANGLE_COVER)
@@ -220,6 +233,47 @@ def test_force_output_is_byte_stable(tmp_path, capsys):
     _, out2, _ = run(capsys, ["force", str(path)])
     assert out1 == out2
     assert out1.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "pin C: nan",
+        "pin C: inf",
+        "exclude C: l=nan theta=0.25",
+        "torsion C:x",
+        "orbifold sig=0;2,3,7 degree=x coverchi=-4 map C:3",
+        "orbifold sig=0;2,3,7 degree=168 coverchi=x map C:3",
+        "orbifold sig=0;2,3,7 degree=168 coverchi=-4 map C:x",
+    ],
+)
+def test_force_rejects_bad_numbers(tmp_path, capsys, stmt):
+    path = tmp_path / "pres.txt"
+    path.write_text(f"gens C\n{stmt}\nmark C\n")
+    code, out, err = run(capsys, ["force", str(path)])
+    assert code == 1 and out == "" and err.startswith("error: statement 2: ")
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+    path.write_text(TRIANGLE_COVER)
+    argvs = [
+        ["force", str(path)],
+        ["triangle", "2", "3", "7", "--pretty"],
+        ["euler-feasible", "--sig", "0;2,3,7", "--degree", "168", "--cover-chi", "-4"],
+        ["addl", "1/4", "1/8", "--seed", "3"],
+        ["approx", "--cantor", "--stages", "2"],
+        ["domain", "--l", "1.5", "--theta", "0.25"],
+        ["euler-feasible", "--sig", "0;2,x", "--degree", "1", "--cover-chi", "2"],
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, argv) for argv in argvs]
+    with pytest.raises(SystemExit):
+        cli.main(["addl"])  # a usage error in between leaves the parser intact
+    capsys.readouterr()
+    for _ in range(2):
+        assert [run(capsys, argv) for argv in argvs] == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_approx_cantor(capsys):

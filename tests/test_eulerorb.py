@@ -1,8 +1,12 @@
 """Tests for exact orbifold Euler numbers and the feasibility enumeration."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotforce.eulerorb import (
     BudgetExceeded,
@@ -116,3 +120,78 @@ def test_enumeration_budget():
 def test_sorted_output():
     out = feasible_tuples(OrbifoldSig(0, (2, 3, 7)), 168, -4)
     assert out == sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form integer part against the former window search
+
+
+@functools.cache
+def _window_search(orders, degree, chi, pin, maximal):
+    """The former enumerator: for every slot tuple, try each n in a window
+    wide enough for any tuple and keep those whose lifted Euler number
+    degree*(n - sum(rots)) is an integer within the Milnor-Wood bound.
+    It runs on the numerator and denominator of sum(rots) instead of
+    Fractions, and reads only the cone orders, so one run serves every genus.
+    """
+    bound = milnor_wood_bound(chi)
+    slots = [[Fraction(k, p) for k in range(p)] for p in orders]
+    if pin is not None:
+        slots[0] = [pin]
+    n_window = 1 + len(orders) + (bound + degree - 1) // degree
+    out = set()
+    for rots in itertools.product(*slots):
+        s = sum(rots, Fraction(0))
+        for n in range(-n_window, n_window + 1):
+            lifted, rem = divmod(degree * (n * s.denominator - s.numerator), s.denominator)
+            if rem or abs(lifted) > bound or (maximal and abs(lifted) != bound):
+                continue
+            out.add(ConeRotTuple(n=n, rots=rots))
+    out |= {t.mirrored() for t in out}
+    return sorted(out)
+
+
+GRID_ORDERS = [(), (2,), (5,), (2, 3), (2, 3, 7), (3, 4, 5), (2, 2, 3)]
+GRID_DEGREES = [1, 2, 3, 6, 7, 12, 42, 60, 84]
+GRID_CHIS = [2, 0, -2, -4, -10, -84, -200]
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_closed_form_matches_window_search(genus):
+    # Degrees the cone orders do not divide are included on purpose: the
+    # listing is parametric and must agree there too.
+    for orders, degree, chi, maximal in itertools.product(GRID_ORDERS, GRID_DEGREES, GRID_CHIS, (False, True)):
+        sig = OrbifoldSig(genus, orders)
+        for pin in [None] + [Fraction(1, p) for p in orders[:1]]:
+            fixed = None if pin is None else {0: pin}
+            got = feasible_tuples(sig, degree, chi, fixed=fixed, maximal=maximal)
+            assert got == _window_search(orders, degree, chi, pin, maximal), (sig, degree, chi, pin, maximal)
+
+
+# ---------------------------------------------------------------------------
+# the text form of a signature
+
+
+def test_signature_text_form():
+    assert str(OrbifoldSig(0, (2, 3, 7))) == "0;2,3,7"
+    assert str(OrbifoldSig(1, (5,))) == "1;5"
+    assert str(OrbifoldSig(2, ())) == "2"
+    assert OrbifoldSig.parse("0;2,3,7") == OrbifoldSig(0, (2, 3, 7))
+    assert OrbifoldSig.parse("2") == OrbifoldSig(2, ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(2, 10**6), max_size=8))
+def test_signature_text_round_trip(genus, orders):
+    sig = OrbifoldSig(genus, tuple(orders))
+    assert OrbifoldSig.parse(str(sig)) == sig
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", ";", "x", "0;", "0;2,", "0;,2", "0;2;3", "0,2,3", "-1;2", "0;1", "0;0,3", "0;2, 3", " 0;2", "1.5", "0;+2", "0;x"],
+)
+def test_signature_malformed_text_rejected(text):
+    with pytest.raises(ValueError) as ei:
+        OrbifoldSig.parse(text)
+    assert repr(text) in str(ei.value)

@@ -153,6 +153,40 @@ def test_parse_orbifold_rejects_impossible_cover():
         assert "statement 2" in str(ei.value) and message in str(ei.value)
 
 
+def test_parse_orbifold_without_cone_points_round_trips():
+    p = parse_presentation("gens a\norbifold sig=2 degree=1 coverchi=-2\nmark a")
+    assert p.orbifolds[0].sig.cone_orders == ()
+    assert "orbifold sig=2 degree=1" in print_presentation(p)
+    assert parse_presentation(print_presentation(p)) == p
+
+
+@pytest.mark.parametrize(
+    "stmt, token",
+    [
+        ("pin a: nan", "'nan'"),
+        ("pin a: inf", "'inf'"),
+        ("pin a: 0, -inf", "'-inf'"),
+        ("pin a: x", "'x'"),
+        ("pin a: 1/0", "'1/0'"),
+        ("exclude a: l=nan theta=0.25", "'nan'"),
+        ("exclude a: l=1.0 theta=inf", "'inf'"),
+        ("exclude a: l=1.0 theta=x", "'x'"),
+        ("torsion a:x", "'x'"),
+        ("orbifold sig=0;2,3,7 degree=x coverchi=-4 map a:1", "'x'"),
+        ("orbifold sig=0;2,3,7 degree=168 coverchi=x map a:1", "'x'"),
+        ("orbifold sig=0;2,3,7 degree=168 coverchi=-4 map a:x", "'x'"),
+        ("orbifold sig=0;2,3,7 degree=168 coverchi=-4 map a:4", "cone slot 4 out of range (1..3)"),
+        ("orbifold map a:0 sig=0;2,3,7 degree=168 coverchi=-4", "cone slot 0 out of range (1..3)"),
+        ("orbifold sig=0;2,x degree=168 coverchi=-4 map a:1", "'0;2,x'"),
+        ("orbifold sig=0;2,,3 degree=6 coverchi=0", "'0;2,,3'"),
+    ],
+)
+def test_parse_rejects_bad_numbers(stmt, token):
+    with pytest.raises(PresentationSyntaxError) as ei:
+        parse_presentation(f"gens a\n{stmt}\nmark a")
+    assert str(ei.value).startswith("statement 2: ") and token in str(ei.value)
+
+
 def test_parse_dial_and_pin_values():
     p = parse_presentation("gens a, nu; dial nu:3 controls a; pin a: 0, 1/4; mark a")
     (d,) = p.dials

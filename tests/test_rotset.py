@@ -423,6 +423,11 @@ def test_differential_edge_cases():
     # an arc ending at 1 covers 0 through the wrap, for both kinds of zero
     assert touching[3].contains(-0.0) and touching[3].contains(F(0))
     assert RotSet.build([-0.0]).points == (F(0),)
+    # a float arc so short that both ends of its mirror round to 1.0 = 0.0
+    # is that arc plus the point 0, not the whole circle through the wrap
+    tiny = RotSet.from_intervals([(1e-20, 2e-20)])
+    assert tiny.points == (F(0),) and tiny.intervals == ((1e-20, 2e-20),)
+    assert not tiny.is_full() and not tiny.contains(0.5)
 
 
 def test_contains_is_exact_where_the_scan_rounded():
