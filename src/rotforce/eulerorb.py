@@ -118,13 +118,21 @@ class ConeRotTuple:
         return ConeRotTuple(n=m - self.n, rots=tuple((1 - r) % 1 for r in self.rots))
 
 
-def _slot_values(order: int, pin: Fraction | None) -> list[Fraction]:
-    if pin is None:
-        return [Fraction(k, order) for k in range(order)]
-    pin = Fraction(pin) % 1
-    if pin.denominator != 1 and order % pin.denominator != 0:
-        raise ValueError(f"pinned value {pin} is not a multiple of 1/{order}")
-    return [pin]
+def feasible_ns(total: Fraction, degree: int, chi: int, maximal: bool = False) -> Sequence[int]:
+    """The integer parts n for which cone rotation numbers summing to ``total``
+    are feasible: the lifted Euler number degree*n - s, s = degree*total, is an
+    integer within the Milnor-Wood bound for ``chi`` (at it, when ``maximal``).
+    So s is an integer and n fills an interval (or its two ends).  Whether any
+    n works depends on ``total`` mod 1 alone; adding 1 to it adds 1 to each n."""
+    if degree < 1:
+        raise ValueError("cover degree must be positive")
+    bound, s = milnor_wood_bound(chi), degree * total
+    if s.denominator != 1:
+        return ()
+    s = s.numerator
+    if maximal:
+        return sorted({(s + e) // degree for e in (-bound, bound) if (s + e) % degree == 0})
+    return range(-((bound - s) // degree), (s + bound) // degree + 1)
 
 
 def feasible_tuples(
@@ -145,32 +153,22 @@ def feasible_tuples(
     orientation.  ``maximal`` keeps only tuples attaining the bound
     exactly.  Results come back lexicographically sorted.
     """
-    if degree < 1:
-        raise ValueError("cover degree must be positive")
-    bound = milnor_wood_bound(chi)
-    pins: dict[int, Fraction | None] = {}
-    if fixed:
-        for i, v in fixed.items():
-            if not 0 <= i < len(sig.cone_orders):
-                raise ValueError(f"no cone slot {i}")
-            pins[i] = Fraction(v) % 1
+    pins: dict[int, Fraction] = {}
+    for i, v in (fixed or {}).items():
+        if not 0 <= i < len(sig.cone_orders):
+            raise ValueError(f"no cone slot {i}")
+        pins[i] = Fraction(v) % 1
+        if sig.cone_orders[i] % pins[i].denominator:
+            raise ValueError(f"pinned value {pins[i]} is not a multiple of 1/{sig.cone_orders[i]}")
     free = len(sig.cone_orders) - len(pins)
     if free > 3:
         raise BudgetExceeded(f"{free} free cone slots; pin at least {free - 3} of them")
 
-    # The lifted Euler number degree*n - s, s = degree*sum(rots), is an integer
-    # within the bound: so is s, and n fills an interval (or its two ends).
-    slots = [_slot_values(p, pins.get(i)) for i, p in enumerate(sig.cone_orders)]
+    slots = [[pins[i]] if i in pins else [Fraction(k, p) for k in range(p)] for i, p in enumerate(sig.cone_orders)]
     out = set()
     for rots in itertools.product(*slots):
-        s = degree * sum(rots, Fraction(0))
-        if s.denominator != 1:
-            continue
-        s = s.numerator
-        if maximal:
-            ns = {(s + e) // degree for e in (bound, -bound) if (s + e) % degree == 0}
-        else:
-            ns = range(-((bound - s) // degree), (s + bound) // degree + 1)
+        ns = feasible_ns(sum(rots, Fraction(0)), degree, chi, maximal)
         out.update(ConeRotTuple(n=n, rots=rots) for n in ns)
-    out |= {t.mirrored() for t in out}
+    if pins:  # the mirror negates the Euler number, so only a pin can break mirror closure
+        out |= {t.mirrored() for t in out}
     return sorted(out)

@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import circledyn
 from .circledyn import CircleMap, circ_dist
-from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_tuples
+from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_ns
 from .rotarith import domain_interval
-from .rotset import RotSet, rotset_intersect, rotset_symmetrize, rotset_union
+from .rotset import RotSet, _fmt, rotset_intersect, rotset_symmetrize, rotset_union
 
 __all__ = [
     "Word",
@@ -428,18 +428,12 @@ def print_presentation(p: Presentation) -> str:
         ctrl = f" controls {', '.join(d.controls)}" if d.controls else ""
         lines.append(f"dial {d.name}:{d.order}{ctrl};")
     for g, values in p.pins:
-        lines.append(f"pin {g}: " + ", ".join(_fmt_value(v) for v in values) + ";")
+        lines.append(f"pin {g}: " + ", ".join(map(_fmt, values)) + ";")
     for g, l, theta in p.excludes:
         lines.append(f"exclude {g}: l={l!r} theta={theta!r};")
     if p.marked:
         lines.append(f"mark {', '.join(p.marked)};")
     return "\n".join(lines) + "\n"
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +546,24 @@ def _multiples(q: int) -> RotSet:
     return RotSet.from_points([Fraction(k, q) for k in range(q)])
 
 
+def _euler_projections(ob: OrbifoldData, state: Mapping[str, RotSet]) -> dict[int, list[Fraction]]:
+    """Per mapped cone slot, its values that some completion of the other slots
+    makes Euler-feasible; slot i ranges over the multiples of 1/p_i in the sets
+    of the generators mapped to it.  Feasibility reads the rotation sum only
+    mod 1, so a completion is a point of the sum of the other slots' sets."""
+    slots = [_multiples(p) for p in ob.sig.cone_orders]
+    for g, i in ob.cone_map:
+        slots[i] = slots[i].intersect(state[g])
+    out = {}
+    for i in {i for _, i in ob.cone_map}:
+        rest = functools.reduce(RotSet.minkowski, slots[:i] + slots[i + 1 :], RotSet.zero_only()).points
+        out[i] = [
+            v for v in slots[i].points
+            if any(feasible_ns(v + r, ob.degree, ob.cover_chi, ob.maximal) for r in rest)
+        ]
+    return out
+
+
 def _linear_relations(p: Presentation) -> list[tuple[int, str, int, str, str]]:
     """(m, g, k, h, premise): the constraint m rot(g) = k rot(h), mined from
     relators and conj annotations whose sides reduce to pure powers."""
@@ -620,7 +632,6 @@ class _Engine:
         self.entries: list[CertEntry] = []
         self.last_fact: dict[str, str] = {g: f"init {g}" for g in p.generators}
         self.extra_pins = dict(extra_pins or {})
-        self.orb_cache: dict[int, list] = {}
 
     def cite(self, g: str) -> str:
         return self.last_fact[g]
@@ -676,22 +687,13 @@ class _Engine:
         for g, q, premise in _torsion_facts(p):
             changed |= self.update("R5", g, _multiples(q), (premise,))
         # R6: orbifold Euler-number feasibility
-        for oi, ob in enumerate(p.orbifolds):
-            if oi not in self.orb_cache:
-                self.orb_cache[oi] = feasible_tuples(
-                    ob.sig, ob.degree, ob.cover_chi, maximal=ob.maximal
-                )
-            tuples = [
-                t
-                for t in self.orb_cache[oi]
-                if all(self.state[g].contains(t.rots[slot]) for g, slot in ob.cone_map)
-            ]
+        for ob in p.orbifolds:
+            projections = _euler_projections(ob, self.state)
             maximal = " maximal" if ob.maximal else ""
             premise_base = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
             for g, slot in ob.cone_map:
-                values = [Fraction(0)] + [t.rots[slot] for t in tuples]
                 cites = tuple(self.cite(h) for h, _ in ob.cone_map)
-                changed |= self.update("R6", g, RotSet.from_points(values), (premise_base,) + cites)
+                changed |= self.update("R6", g, RotSet.from_points(projections[slot]), (premise_base,) + cites)
         # R7: excluded intervals
         for g, l, theta in p.excludes:
             di = domain_interval(l, theta)

@@ -49,9 +49,8 @@ def _mod1(v: Endpoint) -> Endpoint:
 
 
 def _fmt(v: Endpoint) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return repr(v)
+    """The text of a value: p/q (or p) when exact, the float's repr otherwise."""
+    return str(v) if isinstance(v, Fraction) else repr(v)
 
 
 def _prefer_exact(a: Endpoint, b: Endpoint) -> Endpoint:

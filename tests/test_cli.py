@@ -226,6 +226,16 @@ def test_force_triangle_cover(tmp_path, capsys):
     assert doc["certificate"]
 
 
+def test_force_four_cone_slots(tmp_path, capsys):
+    # R6 used to list every feasible slot tuple, which refuses 4 free slots
+    # (BudgetExceeded, exit 1); its per-slot projection needs no listing.
+    path = tmp_path / "pres.txt"
+    path.write_text("gens A; orbifold sig=0;2,2,2,3 degree=12 coverchi=-2 map A:1; mark A\n")
+    doc = run_json(capsys, ["force", str(path)])
+    assert doc["marked"]["A"] == {"points": ["0", "1/2"], "intervals": []}
+    assert doc["replayed"] is True
+
+
 def test_force_output_is_byte_stable(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text(TRIANGLE_COVER)

@@ -13,6 +13,7 @@ from rotforce.eulerorb import (
     ConeRotTuple,
     OrbifoldSig,
     euler_number,
+    feasible_ns,
     feasible_tuples,
     lift_euler,
     milnor_wood_bound,
@@ -106,6 +107,9 @@ def test_pin_must_match_order():
 def test_degree_must_be_positive():
     with pytest.raises(ValueError):
         feasible_tuples(OrbifoldSig(0, (2, 3, 7)), 0, -4)
+    for degree in (0, -6):
+        with pytest.raises(ValueError, match="cover degree must be positive"):
+            feasible_ns(Fraction(1, 2), degree, -4)
 
 
 def test_enumeration_budget():
@@ -166,6 +170,40 @@ def test_closed_form_matches_window_search(genus):
             fixed = None if pin is None else {0: pin}
             got = feasible_tuples(sig, degree, chi, fixed=fixed, maximal=maximal)
             assert got == _window_search(orders, degree, chi, pin, maximal), (sig, degree, chi, pin, maximal)
+
+
+# ---------------------------------------------------------------------------
+# laws of the integer parts n for a given rotation sum
+
+_totals = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 60))
+_covers = st.tuples(st.integers(1, 60), st.integers(-60, 1).map(lambda k: 2 * k), st.booleans())
+
+
+def _window_ns(total, degree, chi, maximal):
+    """Every n in a window wide enough for ``total`` whose lifted Euler number
+    degree*(n - total) is an integer within the bound (at it, when maximal)."""
+    bound = milnor_wood_bound(chi)
+    reach = abs(total) + 1 + bound // degree
+    out = []
+    for n in range(-int(reach) - 1, int(reach) + 2):
+        lifted = degree * (n - total)
+        if lifted.denominator == 1 and abs(lifted) <= bound and (not maximal or abs(lifted) == bound):
+            out.append(n)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_totals, _covers)
+def test_feasible_ns_matches_window_search(total, cover):
+    assert list(feasible_ns(total, *cover)) == _window_ns(total, *cover)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_totals, _covers)
+def test_feasible_ns_shift_and_mirror(total, cover):
+    ns = list(feasible_ns(total, *cover))
+    assert list(feasible_ns(total + 1, *cover)) == [n + 1 for n in ns]
+    assert sorted(feasible_ns(-total, *cover)) == sorted(-n for n in ns)
 
 
 # ---------------------------------------------------------------------------

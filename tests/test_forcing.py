@@ -1,6 +1,8 @@
 """Tests for the presentation grammar, the rotation-set propagation engine,
 its certificates, outer approximation, and interval-group synthesis."""
 
+import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotforce import eulerorb, forcing
 from rotforce.forcing import (
     Certificate,
     InvalidCoverGenerator,
@@ -463,3 +466,96 @@ def test_commuting_sumset_work_stays_near_linear(monkeypatch):
     assert r.marked["c"].points == tuple(F(k, 1615) for k in range(1615))
     assert r.marked["c"].intervals == ()
     assert compares <= 300_000, compares
+
+
+# ---------------------------------------------------------------------------
+# R6: per-slot projections against the former listing
+
+
+def _cover(genus, orders, multiple=1):
+    """A degree every cone order divides, with an even cover characteristic."""
+    chi = Fraction(2 - 2 * genus) - sum(1 - Fraction(1, p) for p in orders)
+    degree = math.lcm(*orders) * multiple
+    if (degree * chi) % 2:
+        degree *= 2
+    return degree, int(degree * chi)
+
+
+def _orbifold(genus, orders, maps, maximal=False, multiple=1):
+    degree, chi = _cover(genus, orders, multiple)
+    sig = f"{genus};{','.join(map(str, orders))}"
+    return f"orbifold sig={sig} degree={degree} coverchi={chi}{' maximal' * maximal} {maps}"
+
+
+@functools.cache
+def _listing(sig, degree, chi, maximal):
+    return eulerorb.feasible_tuples(sig, degree, chi, maximal=maximal)
+
+
+def _listing_projections(ob, state):
+    """The former R6: list every feasible slot tuple, keep those whose every
+    mapped slot lies in its generator's set, and read off each slot."""
+    tuples = [
+        t
+        for t in _listing(ob.sig, ob.degree, ob.cover_chi, ob.maximal)
+        if all(state[g].contains(t.rots[slot]) for g, slot in ob.cone_map)
+    ]
+    return {slot: [t.rots[slot] for t in tuples] for _, slot in ob.cone_map}
+
+
+TRIANGLES = [((2, 3, 7), 1), ((2, 3, 7), 4), ((2, 3, 8), 1), ((2, 4, 6), 1), ((3, 4, 4), 2), ((2, 5, 5), 2)]
+TRIANGLE_VARIANTS = [
+    ("", "map A:1 map B:2 map C:3"),
+    ("rels A B C = 1\ntorsion A:{0}, B:{1}, C:{2}", "map A:1 map B:2 map C:3"),
+    ("pin A: 1/{0}, 1/3", "map A:1 map B:2 map C:3"),
+    ("pin A: 0.5, 0.25\npin C: 1/{2}", "map A:1 map B:2 map C:3"),
+    ("exclude C: l=1.0 theta=0.25", "map A:1 map B:2 map C:3"),
+    ("pin A: 1/{0}", "map A:1 map A:2 map C:3"),
+    ("pin B: 1/{0}", "map A:1 map B:1 map C:3"),
+    ("", "map C:3"),
+    ("dial B:{1} controls A\ncommute (A, B)\nrels A B = C", "map A:1 map C:3"),
+]
+
+
+def _r6_grid():
+    for (orders, multiple), (body, maps), maximal in itertools.product(
+        TRIANGLES, TRIANGLE_VARIANTS, (False, True)
+    ):
+        orb = _orbifold(0, orders, maps, maximal, multiple)
+        yield f"gens A, B, C\n{body.format(*orders)}\n{orb}\nmark A, B, C\n"
+    for q, k, maximal in itertools.product((5, 7, 12), (2, 3), (False, True)):
+        orb = _orbifold(1, (q,), "map gamma:1", maximal)
+        yield f"gens alpha, gamma\nrels alpha = gamma^{k}\n{orb}\nmark alpha, gamma\n"
+    yield f"gens A, B\n{_orbifold(2, (3, 4), 'map A:1 map B:2')}\nmark A, B\n"
+
+
+def test_projection_matches_listing_oracle(monkeypatch):
+    texts = list(_r6_grid())
+    new = [propagate(parse_presentation(t)).to_json() for t in texts]
+    monkeypatch.setattr(forcing, "_euler_projections", _listing_projections)
+    old = [propagate(parse_presentation(t)).to_json() for t in texts]
+    for text, a, b in zip(texts, new, old):
+        assert a == b, text
+    # the grid reaches R6 and narrows sets with it
+    assert sum(any(e["rule"] == "R6" for e in c["certificate"]) for c in new) > len(texts) // 2
+
+
+def test_four_cone_slots_propagate():
+    p = parse_presentation("gens A; orbifold sig=0;2,2,2,3 degree=12 coverchi=-2 map A:1; mark A")
+    assert propagate(p).marked["A"] == RotSet.from_points([F(1, 2)])
+
+
+def test_r6_never_lists_tuples(monkeypatch):
+    # The listing of (2;97,89,83) has 97*89*83 slot tuples; R6 projects per
+    # slot instead, so it never calls the listing, whatever the cover.
+    def refuse(*args, **kwargs):
+        raise AssertionError("R6 called the tuple listing")
+
+    monkeypatch.setattr(eulerorb, "feasible_tuples", refuse)
+    monkeypatch.setattr(forcing, "feasible_tuples", refuse, raising=False)
+    degree, chi = _cover(2, (97, 89, 83))
+    p = parse_presentation(f"gens A\n{_orbifold(2, (97, 89, 83), 'map A:1')}\nmark A\n")
+    r = propagate(p)
+    assert (degree, chi) == (716539, -3558624)
+    assert r.marked["A"].points == tuple(F(k, 97) for k in range(97))
+    assert [e.rule for e in r.certificate.entries] == ["R6"]
