@@ -5,9 +5,11 @@ every generator, it applies a fixed list of sound rules -- conjugacy
 invariance, rot(g^n) = n rot(g), the Baumslag-Solitar collapse, addition
 for commuting products, torsion, orbifold Euler-number feasibility, and
 interval exclusion -- until nothing shrinks, recording each derivation
-step in a replayable certificate.  The outputs are over-approximations:
-every genuine circle action realizes rotation numbers inside them, and
-on the presentations this package targets they are exact.
+step in a replayable certificate.  The rules are mined once, and one is
+re-derived only when a fact it cites changes; NotStabilized caps sweeps
+and arcs.  The outputs are over-approximations: every genuine circle
+action realizes rotation numbers inside them, and on the presentations
+this package targets they are exact.
 
 Also here: nested outer approximations of closed symmetric sets by
 dyadically-snapped interval covers, and the synthesis of a presentation
@@ -21,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import circledyn
 from .circledyn import CircleMap, circ_dist
@@ -45,6 +47,7 @@ __all__ = [
     "CertEntry",
     "replay_certificate",
     "Inconsistent",
+    "NotStabilized",
     "outer_approximation",
     "middle_thirds_cantor",
     "InvalidCoverGenerator",
@@ -82,6 +85,10 @@ class InvalidCoverGenerator(ValueError):
 
 class NotRepresentable(ValueError):
     """No excluded-interval parameters realize the requested arc."""
+
+
+class NotStabilized(ValueError):
+    """Propagation hit its sweep cap, or a set grew past its arc cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +482,7 @@ def check_relations(
 
     ts = np.arange(grid) / grid
     checks = []
-    pairs = list(p.relators) + [(_conj_word(x, h), h2) for x, h, h2 in p.conjs]
+    pairs = list(p.relators) + [(Word(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
     for lhs, rhs in pairs:
         f = eval_word(lhs, assignment)
         g = eval_word(rhs, assignment)
@@ -485,10 +492,6 @@ def check_relations(
         residual = float(np.max(np.minimum(d, 1.0 - d)))
         checks.append(RelationCheck(relator=f"{lhs} = {rhs}", residual=residual, passed=residual <= tol))
     return RelationReport(checks=tuple(checks), tol=tol)
-
-
-def _conj_word(x: str, h: Word) -> Word:
-    return Word(((x, 1),) + h.letters + ((x, -1),))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +544,11 @@ class PropagationResult:
         return out
 
 
+# Only arcs need a cap: a finite set only shrinks.  Tests and workloads peak at 2 arcs, 4 sweeps.
+_MAX_SWEEPS = 100
+_MAX_ARCS = 4096
+
+
 @functools.lru_cache(maxsize=256)
 def _multiples(q: int) -> RotSet:
     return RotSet.from_points([Fraction(k, q) for k in range(q)])
@@ -564,53 +572,6 @@ def _euler_projections(ob: OrbifoldData, state: Mapping[str, RotSet]) -> dict[in
     return out
 
 
-def _linear_relations(p: Presentation) -> list[tuple[int, str, int, str, str]]:
-    """(m, g, k, h, premise): the constraint m rot(g) = k rot(h), mined from
-    relators and conj annotations whose sides reduce to pure powers."""
-    out = []
-    for lhs, rhs in p.relators:
-        a, b = _merged_power(lhs), _merged_power(rhs)
-        if a and b:
-            out.append((a[1], a[0], b[1], b[0], f"relator {lhs} = {rhs}"))
-    for x, h, h2 in p.conjs:
-        a, b = _merged_power(h), _merged_power(h2)
-        if a and b:
-            out.append((a[1], a[0], b[1], b[0], f"conj ({x}: {h} -> {h2})"))
-    return out
-
-
-def _torsion_facts(p: Presentation) -> list[tuple[str, int, str]]:
-    out = [(g, q, f"torsion {g}:{q}") for g, q in p.torsions]
-    for lhs, rhs in p.relators:
-        for side, other in ((lhs, rhs), (rhs, lhs)):
-            if other.letters:
-                continue
-            pw = _merged_power(side)
-            if pw and pw[1] != 0:
-                out.append((pw[0], abs(pw[1]), f"relator {lhs} = {rhs}"))
-    for d in p.dials:
-        out.append((d.name, d.order, f"dial {d.name}:{d.order}"))
-    return out
-
-
-def _commuting_products(p: Presentation) -> list[tuple[tuple[str, int], tuple[str, int], tuple[str, int], str]]:
-    """((a,i),(b,j),(c,k), premise) from relators a^i b^j = c^k with (a,b) commuting."""
-    commuting = {frozenset(pair) for pair in p.commutes}
-    out = []
-    for lhs, rhs in p.relators:
-        for side, other in ((lhs, rhs), (rhs, lhs)):
-            pw = _merged_power(other)
-            if pw is None:
-                continue
-            merged = _merge_adjacent(side.letters)
-            if len(merged) != 2:
-                continue
-            (a, i), (b, j) = merged
-            if frozenset((a, b)) in commuting:
-                out.append(((a, i), (b, j), pw, f"relator {lhs} = {rhs} with commute ({a},{b})"))
-    return out
-
-
 def _merge_adjacent(letters) -> list[tuple[str, int]]:
     """Merge neighbouring powers of one generator, dropping zero powers, as a stack."""
     merged: list[tuple[str, int]] = []
@@ -625,16 +586,92 @@ def _merge_adjacent(letters) -> list[tuple[str, int]]:
     return merged
 
 
+class _Rule(NamedTuple):
+    """A rule instance; derive(state) -> [(generator, set)] reads only the cited
+    generators' sets.  A rule that settles derives nothing new from its own updates."""
+
+    rule: str
+    premise: str
+    cites: tuple[str, ...]
+    derive: Callable[[Mapping[str, RotSet]], list[tuple[str, RotSet]]]
+    settles: bool = False
+
+
+def _excluded(l: float, theta: float) -> RotSet:
+    """{0} plus the closed complement of the domain arc of theta +_l."""
+    return RotSet.build(points=[0], intervals=[domain_interval(l, theta).complement()])
+
+
+def _euler_rule(ob: OrbifoldData, state: Mapping[str, RotSet]) -> list[tuple[str, RotSet]]:
+    projections = _euler_projections(ob, state)
+    return [(g, RotSet.from_points(projections[slot])) for g, slot in ob.cone_map]
+
+
+def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
+    """The presentation's rule instances, mined once, in firing order: pins,
+    R1-R3 (m rot(g) = k rot(h) from relators and conj annotations whose sides
+    reduce to pure powers), R4 (a^i b^j = c^k with (a,b) commuting), R5
+    (torsion, g^q = 1 and dials), R6 per orbifold, R7 per exclusion."""
+    rules: list[_Rule] = []
+
+    def fixed(rule: str, premise: str, g: str, make: Callable[..., RotSet], *args) -> None:
+        rules.append(_Rule(rule, premise, (), lambda state: [(g, make(*args))]))
+
+    def solved(rule: str, premise: str, g: str, m: int, *terms: tuple[str, int]) -> None:
+        # m rot(g) = the sum of k rot(h) over the terms (h, k), solved for g (sets are symmetric)
+        def derive(state):
+            total = functools.reduce(RotSet.minkowski, [state[h].scale_image(k) for h, k in terms])
+            return [(g, total.scale_preimage(m))]
+        rules.append(_Rule(rule, premise, tuple(h for h, _ in terms), derive))
+
+    for g, values in list(p.pins) + sorted(extra_pins.items()):
+        fixed("pin", f"pin {g}", g, RotSet.from_points, values)
+    linear = [(_merged_power(lhs), _merged_power(rhs), f"relator {lhs} = {rhs}") for lhs, rhs in p.relators]
+    linear += [(_merged_power(h), _merged_power(h2), f"conj ({x}: {h} -> {h2})") for x, h, h2 in p.conjs]
+    for (g, m), (h, k), premise in [t for t in linear if t[0] and t[1]]:
+        if g != h:
+            rule = "R1" if abs(m) == 1 and abs(k) == 1 else "R2"
+            solved(rule, premise, g, m, (h, k))
+            solved(rule, premise, h, k, (g, m))
+        elif m != k:
+            fixed("R3", premise, g, _multiples, abs(k - m))
+    commuting = {frozenset(pair) for pair in p.commutes}
+    torsion = [(g, q, f"torsion {g}:{q}") for g, q in p.torsions]
+    for lhs, rhs in p.relators:
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            pw, merged = _merged_power(other), _merge_adjacent(side.letters)
+            if pw and len(merged) == 2 and frozenset(g for g, _ in merged) in commuting:
+                (a, i), (b, j) = merged
+                premise = f"relator {lhs} = {rhs} with commute ({a},{b})"
+                solved("R4", premise, *pw, (a, i), (b, j))
+                solved("R4", premise, a, i, pw, (b, j))
+                solved("R4", premise, b, j, pw, (a, i))
+            own = _merged_power(side)
+            if own and not other.letters:
+                torsion.append((own[0], abs(own[1]), f"relator {lhs} = {rhs}"))
+    torsion += [(d.name, d.order, f"dial {d.name}:{d.order}") for d in p.dials]
+    for g, q, premise in torsion:
+        fixed("R5", premise, g, _multiples, q)
+    for ob in p.orbifolds:
+        maximal = " maximal" if ob.maximal else ""
+        premise = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
+        # A kept value has a feasible witness tuple of kept values, so when no generator
+        # is on two slots, projecting again after R6's own updates keeps every value.
+        cites = tuple(g for g, _ in ob.cone_map)
+        settles = len(set(ob.cone_map)) == len(set(cites))
+        rules.append(_Rule("R6", premise, cites, functools.partial(_euler_rule, ob), settles))
+    for g, l, theta in p.excludes:
+        fixed("R7", f"exclude {g}: l={l!r} theta={theta!r}", g, _excluded, l, theta)
+    return rules
+
+
 class _Engine:
     def __init__(self, p: Presentation, extra_pins: Mapping[str, tuple] | None = None):
-        self.p = p
         self.state: dict[str, RotSet] = {g: RotSet.full() for g in p.generators}
         self.entries: list[CertEntry] = []
         self.last_fact: dict[str, str] = {g: f"init {g}" for g in p.generators}
-        self.extra_pins = dict(extra_pins or {})
-
-    def cite(self, g: str) -> str:
-        return self.last_fact[g]
+        self.rules = _rules(p, extra_pins or {})
+        self.derived_from: dict[int, tuple[str, ...]] = {}  # rule index -> cited facts it last derived from
 
     def update(self, rule: str, g: str, s: RotSet, premises: tuple[str, ...]) -> bool:
         cur = self.state[g]
@@ -643,6 +680,8 @@ class _Engine:
             return False
         if not nxt.points and not nxt.intervals:
             raise Inconsistent(f"empty rotation set for {g!r} via {rule}")
+        if len(nxt.intervals) > _MAX_ARCS:
+            raise NotStabilized(f"rotation set for {g!r} grew past {_MAX_ARCS} arcs via {rule}")
         self.state[g] = nxt
         e = CertEntry(index=len(self.entries), rule=rule, premises=premises, generator=g, result=nxt)
         self.entries.append(e)
@@ -650,65 +689,26 @@ class _Engine:
         return True
 
     def sweep(self) -> bool:
+        """Fire the rules in order, skipping those whose cited facts are as when they
+        last derived (or after their own updates, if they settle): they would derive
+        the same sets, and their targets lie inside them already."""
         changed = False
-        p = self.p
-        # R0: pinned values (annotations and dial-branch assumptions)
-        for g, values in list(p.pins) + sorted(self.extra_pins.items()):
-            changed |= self.update("pin", g, RotSet.from_points(values), (f"pin {g}",))
-        # R1/R2/R3: linear relations m rot(g) = k rot(h)
-        for m, g, k, h, premise in _linear_relations(p):
-            if g == h:
-                if m != k:
-                    q = abs(k - m)
-                    changed |= self.update("R3", g, _multiples(q), (premise,))
+        for n, r in enumerate(self.rules):
+            cited = lambda: tuple(self.last_fact[h] for h in r.cites)
+            if self.derived_from.get(n) == cited():
                 continue
-            rule = "R1" if abs(m) == 1 and abs(k) == 1 else "R2"
-            changed |= self.update(
-                rule, g, self.state[h].scale_image(k).scale_preimage(m), (premise, self.cite(h))
-            )
-            changed |= self.update(
-                rule, h, self.state[g].scale_image(m).scale_preimage(k), (premise, self.cite(g))
-            )
-        # R4: commuting products add
-        for (a, i), (b, j), (c, k), premise in _commuting_products(p):
-            sum_ab = self.state[a].scale_image(i).minkowski(self.state[b].scale_image(j))
-            changed |= self.update(
-                "R4", c, sum_ab.scale_preimage(k), (premise, self.cite(a), self.cite(b))
-            )
-            back_a = self.state[c].scale_image(k).minkowski(self.state[b].scale_image(j))
-            changed |= self.update(
-                "R4", a, back_a.scale_preimage(i), (premise, self.cite(c), self.cite(b))
-            )
-            back_b = self.state[c].scale_image(k).minkowski(self.state[a].scale_image(i))
-            changed |= self.update(
-                "R4", b, back_b.scale_preimage(j), (premise, self.cite(c), self.cite(a))
-            )
-        # R5: torsion
-        for g, q, premise in _torsion_facts(p):
-            changed |= self.update("R5", g, _multiples(q), (premise,))
-        # R6: orbifold Euler-number feasibility
-        for ob in p.orbifolds:
-            projections = _euler_projections(ob, self.state)
-            maximal = " maximal" if ob.maximal else ""
-            premise_base = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
-            for g, slot in ob.cone_map:
-                cites = tuple(self.cite(h) for h, _ in ob.cone_map)
-                changed |= self.update("R6", g, RotSet.from_points(projections[slot]), (premise_base,) + cites)
-        # R7: excluded intervals
-        for g, l, theta in p.excludes:
-            di = domain_interval(l, theta)
-            if di.lo == di.hi:
-                allowed = RotSet.from_points([0, di.lo])
-            else:
-                allowed = RotSet.build(points=[0], intervals=[(di.hi, di.lo)])
-            changed |= self.update("R7", g, allowed, (f"exclude {g}: l={l!r} theta={theta!r}",))
+            self.derived_from[n] = cited()
+            for g, s in r.derive(self.state):
+                changed |= self.update(r.rule, g, s, (r.premise,) + cited())
+            if r.settles:
+                self.derived_from[n] = cited()
         return changed
 
-    def run(self, max_sweeps: int = 100):
-        for _ in range(max_sweeps):
+    def run(self) -> None:
+        for _ in range(_MAX_SWEEPS):
             if not self.sweep():
                 return
-        raise RuntimeError(f"propagation did not stabilize in {max_sweeps} sweeps")
+        raise NotStabilized(f"{self.entries[-1].generator!r} still shrinks after {_MAX_SWEEPS} sweeps")
 
 
 def propagate(p: Presentation) -> PropagationResult:
@@ -725,11 +725,8 @@ def propagate(p: Presentation) -> PropagationResult:
         branches: dict[str, dict[str, RotSet]] = {}
         for k in range(d.order):
             v = Fraction(k, d.order)
-            extra: dict[str, tuple] = {d.name: (v,)}
-            if v == 0:
-                for g in d.controls:
-                    extra[g] = (Fraction(0),)
-            sub = _Engine(p, extra_pins=extra)
+            controls = {g: (Fraction(0),) for g in d.controls} if v == 0 else {}
+            sub = _Engine(p, extra_pins={d.name: (v,)} | controls)
             sub.run()
             branches[str(v)] = {g: sub.state[g] for g in p.marked}
         dials[d.name] = branches

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rotforce import cli
+from rotforce import cli, forcing
 
 TRIANGLE_COVER = """
 gens A, B, C
@@ -234,6 +234,17 @@ def test_force_four_cone_slots(tmp_path, capsys):
     doc = run_json(capsys, ["force", str(path)])
     assert doc["marked"]["A"] == {"points": ["0", "1/2"], "intervals": []}
     assert doc["replayed"] is True
+
+
+def test_force_reports_unstable_propagation(tmp_path, capsys, monkeypatch):
+    # A's arcs multiply every sweep; propagation stops at the arc cap (lowered
+    # here to keep the run short) with an error line, not a traceback or a hang.
+    monkeypatch.setattr(forcing, "_MAX_ARCS", 64)
+    path = tmp_path / "pres.txt"
+    path.write_text("gens A, B; rels A^2 = B, B^3 = A; exclude A: l=1.0 theta=0.25; mark A\n")
+    code, out, err = run(capsys, ["force", str(path)])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: rotation set for 'B' grew past 64 arcs via R2"]
 
 
 def test_force_output_is_byte_stable(tmp_path, capsys):

@@ -559,3 +559,254 @@ def test_r6_never_lists_tuples(monkeypatch):
     assert (degree, chi) == (716539, -3558624)
     assert r.marked["A"].points == tuple(F(k, 97) for k in range(97))
     assert [e.rule for e in r.certificate.entries] == ["R6"]
+
+
+# ---------------------------------------------------------------------------
+# the rule list against the seven-block engine it replaced
+
+
+def _linear_relations(p):
+    out = []
+    for lhs, rhs in p.relators:
+        a, b = _merged_power(lhs), _merged_power(rhs)
+        if a and b:
+            out.append((a[1], a[0], b[1], b[0], f"relator {lhs} = {rhs}"))
+    for x, h, h2 in p.conjs:
+        a, b = _merged_power(h), _merged_power(h2)
+        if a and b:
+            out.append((a[1], a[0], b[1], b[0], f"conj ({x}: {h} -> {h2})"))
+    return out
+
+
+def _torsion_facts(p):
+    out = [(g, q, f"torsion {g}:{q}") for g, q in p.torsions]
+    for lhs, rhs in p.relators:
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if other.letters:
+                continue
+            pw = _merged_power(side)
+            if pw and pw[1] != 0:
+                out.append((pw[0], abs(pw[1]), f"relator {lhs} = {rhs}"))
+    for d in p.dials:
+        out.append((d.name, d.order, f"dial {d.name}:{d.order}"))
+    return out
+
+
+def _commuting_products(p):
+    commuting = {frozenset(pair) for pair in p.commutes}
+    out = []
+    for lhs, rhs in p.relators:
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            pw = _merged_power(other)
+            if pw is None:
+                continue
+            merged = forcing._merge_adjacent(side.letters)
+            if len(merged) != 2:
+                continue
+            (a, i), (b, j) = merged
+            if frozenset((a, b)) in commuting:
+                out.append(((a, i), (b, j), pw, f"relator {lhs} = {rhs} with commute ({a},{b})"))
+    return out
+
+
+class _SevenBlockEngine:
+    """The former engine: it mines the presentation on every sweep and fires
+    every rule on every sweep, one block of code per rule."""
+
+    def __init__(self, p, extra_pins=None):
+        self.p = p
+        self.state = {g: RotSet.full() for g in p.generators}
+        self.entries = []
+        self.last_fact = {g: f"init {g}" for g in p.generators}
+        self.extra_pins = dict(extra_pins or {})
+
+    def cite(self, g):
+        return self.last_fact[g]
+
+    def update(self, rule, g, s, premises):
+        cur = self.state[g]
+        nxt = cur.intersect(s)
+        if nxt == cur:
+            return False
+        if not nxt.points and not nxt.intervals:
+            raise forcing.Inconsistent(f"empty rotation set for {g!r} via {rule}")
+        self.state[g] = nxt
+        e = forcing.CertEntry(index=len(self.entries), rule=rule, premises=premises, generator=g, result=nxt)
+        self.entries.append(e)
+        self.last_fact[g] = f"fact:{e.index}"
+        return True
+
+    def sweep(self):
+        changed = False
+        p = self.p
+        for g, values in list(p.pins) + sorted(self.extra_pins.items()):
+            changed |= self.update("pin", g, RotSet.from_points(values), (f"pin {g}",))
+        for m, g, k, h, premise in _linear_relations(p):
+            if g == h:
+                if m != k:
+                    changed |= self.update("R3", g, forcing._multiples(abs(k - m)), (premise,))
+                continue
+            rule = "R1" if abs(m) == 1 and abs(k) == 1 else "R2"
+            changed |= self.update(rule, g, self.state[h].scale_image(k).scale_preimage(m), (premise, self.cite(h)))
+            changed |= self.update(rule, h, self.state[g].scale_image(m).scale_preimage(k), (premise, self.cite(g)))
+        for (a, i), (b, j), (c, k), premise in _commuting_products(p):
+            sum_ab = self.state[a].scale_image(i).minkowski(self.state[b].scale_image(j))
+            changed |= self.update("R4", c, sum_ab.scale_preimage(k), (premise, self.cite(a), self.cite(b)))
+            back_a = self.state[c].scale_image(k).minkowski(self.state[b].scale_image(j))
+            changed |= self.update("R4", a, back_a.scale_preimage(i), (premise, self.cite(c), self.cite(b)))
+            back_b = self.state[c].scale_image(k).minkowski(self.state[a].scale_image(i))
+            changed |= self.update("R4", b, back_b.scale_preimage(j), (premise, self.cite(c), self.cite(a)))
+        for g, q, premise in _torsion_facts(p):
+            changed |= self.update("R5", g, forcing._multiples(q), (premise,))
+        for ob in p.orbifolds:
+            projections = forcing._euler_projections(ob, self.state)
+            maximal = " maximal" if ob.maximal else ""
+            premise_base = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
+            for g, slot in ob.cone_map:
+                cites = tuple(self.cite(h) for h, _ in ob.cone_map)
+                changed |= self.update("R6", g, RotSet.from_points(projections[slot]), (premise_base,) + cites)
+        for g, l, theta in p.excludes:
+            di = domain_interval(l, theta)
+            if di.lo == di.hi:
+                allowed = RotSet.from_points([0, di.lo])
+            else:
+                allowed = RotSet.build(points=[0], intervals=[(di.hi, di.lo)])
+            changed |= self.update("R7", g, allowed, (f"exclude {g}: l={l!r} theta={theta!r}",))
+        return changed
+
+    def run(self):
+        for _ in range(100):
+            if not self.sweep():
+                return
+        raise RuntimeError("propagation did not stabilize in 100 sweeps")
+
+
+def _engine_corpus():
+    """Presentations for every rule, its premises and the cases where a rule's
+    own updates change what it reads: a generator on two cone slots, and a
+    commuting product whose target is one of its factors."""
+    texts = list(_r6_grid())
+    for orders, multiple in ((2, 3, 8), 1), ((2, 4, 6), 1), ((3, 3, 6), 1), ((4, 6, 12), 1), ((2, 4, 8), 2):
+        for maps in ("map A:1 map A:2 map C:3", "map A:2 map A:3 map C:1", "map A:1 map A:2 map A:3"):
+            orb = _orbifold(0, orders, maps, multiple=multiple)
+            texts.append(f"gens A, C\npin A: 0, 1/{orders[1]}, 1/{orders[2]}\n{orb}\nmark A, C\n")
+            texts.append(f"gens A, C\n{orb}\nmark A, C\n")
+    for k, q in itertools.product((2, 3, -2), (6, 8)):
+        texts.append(f"gens A, X; conj (X: A -> A^{k}); torsion A:{q}; mark A")
+        texts.append(f"gens A, B, X; conj (X: A -> B^{k}); torsion B:{q}; mark A, B")
+        texts.append(f"gens A, B, X; conj (X: A^2 -> B^{k}); pin B: 1/{q}, 0.3; mark A, B")
+    for i, j, k in itertools.product((1, 2, -1), (1, 3), (2, 5)):
+        texts.append(f"gens a, b, c; commute (a, b); rels a^{i} b^{j} = c^{k}; torsion a:4, b:6; mark a, b, c")
+        texts.append(f"gens a, b; commute (a, b); rels a^{i} b^{j} = a^{k}; torsion a:12, b:6; mark a, b")
+        texts.append(f"gens a, b; commute (a, b); rels a^{i} b = b^{k}; torsion a:8; pin b: 1/{j + 2}; mark a, b")
+    texts += [
+        "gens g, h; rels g = h^2; exclude g: l=1.0 theta=0.25; exclude h: l=0.7 theta=0.3; mark g, h",
+        "gens g; torsion g:12; exclude g: l=1.0 theta=0.25; mark g",
+        "gens g, h; rels g = h^3; exclude g: l=0.0 theta=0.3; mark g, h",  # the excluded arc is a point
+        "gens a, nu, c; dial nu:4 controls a; torsion a:6; commute (nu, a); rels nu a = c; mark c, a",
+        "gens a, b; rels a^2 = 1, a = b^3, b^4 = b; mark a, b",
+        "gens a; pin a: 1/3; torsion a:2; mark a",
+        UNIT_TANGENT,
+        TRIANGLE_COVER,
+        GENUS_ONE,
+    ]
+    return [parse_presentation(t) for t in texts] + [
+        emit_interval_group(arc) for arc in ((0.3, 0.42), (0.25, 0.25), (0.1, 0.9), (F(1, 3), F(2, 5)))
+    ]
+
+
+def _outcome(p):
+    try:
+        return json.dumps(propagate(p).to_json())
+    except forcing.Inconsistent as exc:
+        return f"Inconsistent: {exc}"
+
+
+def test_rule_list_matches_seven_block_engine(monkeypatch):
+    corpus = _engine_corpus()
+    sweeps = {"new": 0, "old": 0}
+
+    def counted(sweep, key):
+        def wrapper(self):
+            sweeps[key] += 1
+            return sweep(self)
+        return wrapper
+
+    monkeypatch.setattr(forcing._Engine, "sweep", counted(forcing._Engine.sweep, "new"))
+    monkeypatch.setattr(_SevenBlockEngine, "sweep", counted(_SevenBlockEngine.sweep, "old"))
+    new = [_outcome(p) for p in corpus]
+    new_sweeps = sweeps["new"]
+    for p, doc in zip(corpus, new):
+        if not doc.startswith("Inconsistent"):
+            assert replay_certificate(p, propagate(p).certificate), print_presentation(p)
+    monkeypatch.setattr(forcing, "_Engine", _SevenBlockEngine)
+    old = [_outcome(p) for p in corpus]
+    for p, a, b in zip(corpus, new, old):
+        assert a == b, print_presentation(p)
+    assert new_sweeps == sweeps["old"]
+    # the corpus fires every rule, and a rule's own updates narrow what it reads
+    rules = {e["rule"] for doc in new if doc.startswith("{") for e in json.loads(doc)["certificate"]}
+    assert rules == {"pin", "R1", "R2", "R3", "R4", "R5", "R6", "R7"}
+    assert sum(doc.startswith("Inconsistent") for doc in new) < len(new) // 10
+
+
+# ---------------------------------------------------------------------------
+# work counts and the bounded engine
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(forcing, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(forcing, name, counting)
+    return calls
+
+
+def _count_sweeps(monkeypatch):
+    runs = []
+    sweep = forcing._Engine.sweep
+    monkeypatch.setattr(forcing._Engine, "sweep", lambda self: runs.append(self) or sweep(self))
+    return runs
+
+
+def test_exclusion_is_derived_once_per_engine(monkeypatch):
+    # The former engine called domain_interval once per exclusion per sweep.
+    p = parse_presentation(
+        "gens g, h; rels g = h^2; exclude g: l=1.0 theta=0.25; exclude h: l=0.7 theta=0.3; mark g, h"
+    )
+    domains = _count_calls(monkeypatch, "domain_interval")
+    runs = _count_sweeps(monkeypatch)
+    propagate(p)
+    assert len(runs) == 3 and len(set(map(id, runs))) == 1
+    assert len(domains) == 2
+
+
+def test_final_sweep_does_not_reproject(monkeypatch):
+    # R6 narrows C in the first sweep; projecting again would keep every value,
+    # so the second, final sweep skips it.
+    projections = _count_calls(monkeypatch, "_euler_projections")
+    runs = _count_sweeps(monkeypatch)
+    r = propagate(parse_presentation(TRIANGLE_COVER))
+    assert r.marked["C"] == RotSet.from_points([F(1, 7)])
+    assert len(runs) == 2 and len(projections) == 1
+
+
+GROWING = "gens A, B; rels A^2 = B, B^3 = A; exclude A: l=1.0 theta=0.25; mark A"
+
+
+def test_growing_arcs_raise_not_stabilized():
+    # A's arcs multiply by about 4.8 a sweep; the arc cap stops the run.
+    with pytest.raises(forcing.NotStabilized, match=r"rotation set for 'B' grew past 4096 arcs"):
+        propagate(parse_presentation(GROWING))
+    assert issubclass(forcing.NotStabilized, ValueError)
+    assert "NotStabilized" in forcing.__all__
+
+
+def test_sweep_cap_raises_not_stabilized(monkeypatch):
+    monkeypatch.setattr(forcing, "_MAX_SWEEPS", 3)
+    with pytest.raises(forcing.NotStabilized, match=r"'[AB]' still shrinks after 3 sweeps"):
+        propagate(parse_presentation(GROWING))
