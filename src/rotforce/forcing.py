@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -32,7 +33,7 @@ from .rotarith import domain_interval
 from .rotset import RotSet, _fmt, rotset_intersect, rotset_symmetrize, rotset_union
 
 __all__ = [
-    "Word",
+    "GroupWord",
     "Presentation",
     "OrbifoldData",
     "DialData",
@@ -96,7 +97,7 @@ class NotStabilized(ValueError):
 
 
 @dataclass(frozen=True)
-class Word:
+class GroupWord:
     """A formal product of generator powers; the empty word is the identity."""
 
     letters: tuple[tuple[str, int], ...]
@@ -106,7 +107,7 @@ class Word:
             raise ValueError("zero exponents are not allowed in words")
 
     @classmethod
-    def parse(cls, text: str) -> "Word":
+    def parse(cls, text: str) -> "GroupWord":
         text = text.strip()
         if text in ("", "1"):
             return cls(())
@@ -132,14 +133,22 @@ class Word:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+    def inverse(self) -> "GroupWord":
+        return GroupWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def gens(self) -> set[str]:
         return {g for g, _ in self.letters}
 
 
-def _merged_power(w: Word) -> tuple[str, int] | None:
+def __getattr__(name: str):
+    # the former name of GroupWord, which clashed with circledyn.Word
+    if name == "Word":
+        warnings.warn("forcing.Word is deprecated; use forcing.GroupWord", DeprecationWarning, stacklevel=2)
+        return GroupWord
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _merged_power(w: GroupWord) -> tuple[str, int] | None:
     """(g, n) when the word reduces to a pure power of one generator, stripping
     any conjugating dressing u g^n u^-1; None otherwise."""
     merged = _merge_adjacent(w.letters)
@@ -182,9 +191,9 @@ class DialData:
 @dataclass(frozen=True)
 class Presentation:
     generators: tuple[str, ...]
-    relators: tuple[tuple[Word, Word], ...] = ()
+    relators: tuple[tuple[GroupWord, GroupWord], ...] = ()
     commutes: tuple[tuple[str, str], ...] = ()
-    conjs: tuple[tuple[str, Word, Word], ...] = ()  # (x, h, h2): x h x^-1 = h2
+    conjs: tuple[tuple[str, GroupWord, GroupWord], ...] = ()  # (x, h, h2): x h x^-1 = h2
     torsions: tuple[tuple[str, int], ...] = ()
     orbifolds: tuple[OrbifoldData, ...] = ()
     dials: tuple[DialData, ...] = ()
@@ -275,15 +284,15 @@ def parse_presentation(text: str) -> Presentation:
             raise UnknownGenerator(f"{name!r} in {where!r} was never declared")
         return name
 
-    def parse_word(src: str, where: str) -> Word:
-        w = Word.parse(src)
+    def parse_word(src: str, where: str) -> GroupWord:
+        w = GroupWord.parse(src)
         for g in w.gens():
             need(g, where)
         return w
 
-    relators: list[tuple[Word, Word]] = []
+    relators: list[tuple[GroupWord, GroupWord]] = []
     commutes: list[tuple[str, str]] = []
-    conjs: list[tuple[str, Word, Word]] = []
+    conjs: list[tuple[str, GroupWord, GroupWord]] = []
     torsions: list[tuple[str, int]] = []
     orbifolds: list[OrbifoldData] = []
     dials: list[DialData] = []
@@ -447,7 +456,7 @@ def print_presentation(p: Presentation) -> str:
 # word evaluation and relation checking
 
 
-def eval_word(w: Word, assignment: Mapping[str, CircleMap]) -> CircleMap:
+def eval_word(w: GroupWord, assignment: Mapping[str, CircleMap]) -> CircleMap:
     """Compose the assigned circle maps along the word (empty word: identity)."""
     maps = []
     for g, e in w.letters:
@@ -482,7 +491,7 @@ def check_relations(
 
     ts = np.arange(grid) / grid
     checks = []
-    pairs = list(p.relators) + [(Word(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
+    pairs = list(p.relators) + [(GroupWord(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
     for lhs, rhs in pairs:
         f = eval_word(lhs, assignment)
         g = eval_word(rhs, assignment)
@@ -836,8 +845,8 @@ def emit_interval_group(interval) -> Presentation:
         generators=gens,
         commutes=(("gamma", "alphap"),),
         conjs=(
-            ("beta", Word((("alpha", 1),)), Word((("alphap", 1),))),
-            ("mu", Word((("alpha", 1), ("gamma", 1))), Word((("beta", 1),))),
+            ("beta", GroupWord((("alpha", 1),)), GroupWord((("alphap", 1),))),
+            ("mu", GroupWord((("alpha", 1), ("gamma", 1))), GroupWord((("beta", 1),))),
         ),
         pins=(("beta", (Fraction(0),)), ("alpha", (theta,))),
         excludes=(("gamma", l, theta),),

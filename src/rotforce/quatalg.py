@@ -12,12 +12,15 @@ elements pick up a rotation number arccos(trace/2)/pi.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +60,18 @@ class AlgebraSpecError(ValueError):
 
 _REFINE_CAP = 400  # interval halvings one sign or approximation query may spend
 _STEP_BITS = 16  # halvings per refine_root call
+
+
+def _power(x, n: int, one, mul):
+    """x to the power n >= 0 by repeated squaring, for any ``mul`` with unit ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +241,7 @@ def field_create(minpoly) -> NumberField:
     Accepts ascending coefficients or a string like ``"x^2 - 2"``.
     """
     if isinstance(minpoly, str):
-        coeffs = _parse_poly_in_x(minpoly)
+        coeffs = _evaluate(minpoly, {"x": pr.poly((0, 1))}, _poly_ops())
     else:
         coeffs = pr.poly(minpoly)
     if pr.degree(coeffs) < 1:
@@ -236,12 +251,11 @@ def field_create(minpoly) -> NumberField:
     if coeffs[-1] != 1:
         raise ValueError("minimal polynomial must be monic")
     _check_irreducible(coeffs)
-    if pr.count_real_roots(coeffs) != pr.degree(coeffs):
-        raise NotTotallyReal(
-            f"{pr.count_real_roots(coeffs)} real roots for degree {pr.degree(coeffs)}"
-        )
-    roots = tuple(RootInterval(coeffs, lo, hi) for lo, hi in pr.isolate_real_roots(coeffs))
-    return NumberField(coeffs, roots)
+    # an irreducible polynomial is squarefree, so isolation counts every real root
+    roots = pr.isolate_real_roots(coeffs)
+    if len(roots) != pr.degree(coeffs):
+        raise NotTotallyReal(f"{len(roots)} real roots for degree {pr.degree(coeffs)}")
+    return NumberField(coeffs, tuple(RootInterval(coeffs, lo, hi) for lo, hi in roots))
 
 
 @dataclass(frozen=True)
@@ -314,14 +328,7 @@ class FieldElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.field.one(), operator.mul)
 
     def __str__(self):
         if not self.coeffs:
@@ -386,6 +393,19 @@ class QuatAlgebra:
             out.append(Ramification.RAMIFIED if (sa < 0 and sb < 0) else Ramification.UNRAMIFIED)
         return tuple(out)
 
+    @cached_property
+    def _embedding(self) -> tuple[int, bool, float, float]:
+        """(place, swap, sqrt(a), b) for ``embed_unramified``: the unramified
+        place, whether a < 0 there so that a and b trade roles, and the images
+        of the pair after that trade.  Computed once per algebra."""
+        f = self.field
+        place = _unramified_place(self)
+        a, b = self.a, self.b
+        swap = f.sign_at(a, place) < 0
+        if swap:
+            a, b = b, a
+        return place, swap, math.sqrt(f.approx_at(a, place)), f.approx_at(b, place)
+
     # -- constructors
 
     def scalar(self, x) -> QuatElem:
@@ -440,13 +460,7 @@ class QuatAlgebra:
     def pow(self, x: QuatElem, n: int) -> QuatElem:
         if n < 0:
             raise ValueError("negative quaternion powers unsupported")
-        out, base = self.one(), x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return _power(x, n, self.one(), self.mul)
 
     def conj(self, x: QuatElem) -> QuatElem:
         return QuatElem(x.x0, -x.x1, -x.x2, -x.x3)
@@ -489,20 +503,11 @@ def embed_unramified(algebra: QuatAlgebra, x: QuatElem) -> np.ndarray:
     permutes the element's i/j coordinates and negates the k one.  The
     determinant of the result is the norm of x at that place.
     """
-    f = algebra.field
-    place = _unramified_place(algebra)
-    a, b = algebra.a, algebra.b
+    place, swap, ra, bv = algebra._embedding
     x0, x1, x2, x3 = x.coords()
-    if f.sign_at(a, place) < 0:
-        a, b = b, a
+    if swap:
         x1, x2, x3 = x2, x1, -x3
-    av = f.approx_at(a, place)
-    bv = f.approx_at(b, place)
-    ra = math.sqrt(av)
-    c0 = f.approx_at(x0, place)
-    c1 = f.approx_at(x1, place)
-    c2 = f.approx_at(x2, place)
-    c3 = f.approx_at(x3, place)
+    c0, c1, c2, c3 = (algebra.field.approx_at(c, place) for c in (x0, x1, x2, x3))
     mi = np.array([[ra, 0.0], [0.0, -ra]])
     mj = np.array([[0.0, 1.0], [bv, 0.0]])
     return c0 * np.eye(2) + c1 * mi + c2 * mj + c3 * (mi @ mj)
@@ -533,137 +538,83 @@ def arithmetic_rotation_number(algebra: QuatAlgebra, q: QuatElem) -> Angle:
 # ---------------------------------------------------------------------------
 # textual algebra descriptions
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
 
+def _evaluate(text: str, env: dict, ops: dict):
+    """The value of an expression in ``+ - * /``, unary ``-`` and ``+``,
+    ``^`` (or ``**``) to a literal non-negative integer, parentheses, decimal
+    integer literals and the names in ``env``.
 
-def _tokenize(s: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            raise AlgebraSpecError(f"bad character {s[pos]!r} in {s!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _ExprParser:
-    """Tiny recursive-descent evaluator: +, -, *, /, integer ^ (or **), parentheses.
-
-    Works over any operand type; ``ops`` supplies add/sub/neg/mul/div/pow
-    callables, ``env`` the named values, ``from_int`` the literals.
+    Python's own parser reads the text; only the nodes above are evaluated.
+    ``ops`` maps each ``ast`` operator class to its operation over the
+    operand type, and ``ast.Constant`` to the conversion of a literal.
     """
+    src = " ".join(text.split())
+    if not re.fullmatch(r"[\w +\-*/^()]+", src, re.ASCII):
+        raise AlgebraSpecError(f"bad character or empty expression in {text!r}")
+    # 007 reads 7, though Python rejects leading zeros; 1_0 and 0x10 are no literals
+    src = re.sub(r"\b0+(?=\d)", "", src).replace("^", "**")
 
-    def __init__(self, tokens: list[str], env: dict, ops: dict):
-        self.toks = tokens
-        self.pos = 0
-        self.env = env
-        self.ops = ops
+    def literal(node) -> bool:
+        return isinstance(node, ast.Constant) and src[node.col_offset : node.end_col_offset].isdigit()
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def value(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if not literal(node.right):
+                raise AlgebraSpecError(f"exponent must be a literal non-negative integer in {text!r}")
+            return ops[ast.Pow](value(node.left), node.right.value)
+        if isinstance(node, ast.BinOp) and type(node.op) in ops:
+            return ops[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = value(node.operand)
+            return operand if isinstance(node.op, ast.UAdd) else ops[ast.USub](operand)
+        if literal(node):
+            return ops[ast.Constant](node.value)
+        if isinstance(node, ast.Name) and node.id in env:
+            return env[node.id]
+        raise AlgebraSpecError(f"unsupported {ast.get_source_segment(src, node)!r} in {text!r}")
 
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def parse(self):
-        if not self.toks:
-            raise AlgebraSpecError("empty expression")
-        try:
-            v = self.expr()
-        except RecursionError:
+    try:
+        with warnings.catch_warnings():
+            # such as "invalid decimal literal" for 1if: a node rejected below
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(src, mode="eval")
+        return value(tree.body)
+    except ZeroDivisionError:
+        raise AlgebraSpecError(f"division by zero in {text!r}") from None
+    except (RecursionError, MemoryError):
+        raise AlgebraSpecError("expression nested too deeply") from None
+    except SyntaxError as exc:
+        if exc.msg == "too many nested parentheses":
             raise AlgebraSpecError("expression nested too deeply") from None
-        if self.peek() is not None:
-            raise AlgebraSpecError(f"trailing input at {self.peek()!r}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.ops["add"] if self.take() == "+" else self.ops["sub"]
-            v = op(v, self.term())
-        return v
-
-    def term(self):
-        v = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.ops["mul"] if self.take() == "*" else self.ops["div"]
-            v = op(v, self.factor())
-        return v
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return self.ops["neg"](self.factor())
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        v = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            exp = self.take()
-            if exp is None or not exp.isdigit():
-                raise AlgebraSpecError("exponent must be a literal non-negative integer")
-            v = self.ops["pow"](v, int(exp))
-        return v
-
-    def atom(self):
-        t = self.take()
-        if t is None:
-            raise AlgebraSpecError("unexpected end of expression")
-        if t == "(":
-            v = self.expr()
-            if self.take() != ")":
-                raise AlgebraSpecError("missing closing parenthesis")
-            return v
-        if t.isdigit():
-            return self.ops["from_int"](int(t))
-        if t in self.env:
-            return self.env[t]
-        raise AlgebraSpecError(f"unknown symbol {t!r}")
+        raise AlgebraSpecError(f"syntax error in {text!r}") from None
 
 
 def _poly_ops() -> dict:
     def div(p, q):
         if pr.degree(q) > 0:
             raise AlgebraSpecError("polynomial division only by constants")
-        if not q:
-            raise AlgebraSpecError("division by zero")
-        return pr.scale(p, 1 / q[0])
-
-    def pow_(p, n):
-        out = pr.poly((1,))
-        for _ in range(n):
-            out = pr.mul(out, p)
-        return out
+        return pr.scale(p, 1 / pr.eval_at(q, 0))
 
     return {
-        "add": pr.add,
-        "sub": pr.sub,
-        "neg": pr.neg,
-        "mul": pr.mul,
-        "div": div,
-        "pow": pow_,
-        "from_int": lambda n: pr.poly((n,)),
+        ast.Add: pr.add,
+        ast.Sub: pr.sub,
+        ast.USub: pr.neg,
+        ast.Mult: pr.mul,
+        ast.Div: div,
+        ast.Pow: lambda p, n: _power(p, n, pr.poly((1,)), pr.mul),
+        ast.Constant: lambda n: pr.poly((n,)),
     }
-
-
-def _parse_poly_in_x(text: str) -> pr.Coeffs:
-    toks = _tokenize(text)
-    return _ExprParser(toks, {"x": pr.poly((0, 1))}, _poly_ops()).parse()
 
 
 def _field_ops(f: NumberField) -> dict:
     return {
-        "add": lambda u, v: u + v,
-        "sub": lambda u, v: u - v,
-        "neg": lambda u: -u,
-        "mul": lambda u, v: u * v,
-        "div": lambda u, v: u / v,
-        "pow": lambda u, n: u**n,
-        "from_int": f.from_rational,
+        ast.Add: operator.add,
+        ast.Sub: operator.sub,
+        ast.USub: operator.neg,
+        ast.Mult: operator.mul,
+        ast.Div: operator.truediv,
+        ast.Pow: operator.pow,
+        ast.Constant: f.from_rational,
     }
 
 
@@ -674,13 +625,13 @@ def _quat_ops(algebra: QuatAlgebra) -> dict:
         return algebra.mul(x, algebra.scalar(y.x0.inverse()))
 
     return {
-        "add": algebra.add,
-        "sub": algebra.sub,
-        "neg": algebra.neg,
-        "mul": algebra.mul,
-        "div": div,
-        "pow": algebra.pow,
-        "from_int": lambda n: algebra.scalar(n),
+        ast.Add: algebra.add,
+        ast.Sub: algebra.sub,
+        ast.USub: algebra.neg,
+        ast.Mult: algebra.mul,
+        ast.Div: div,
+        ast.Pow: algebra.pow,
+        ast.Constant: algebra.scalar,
     }
 
 
@@ -699,9 +650,11 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     monic integer polynomial in ``x``; ``a`` and ``b`` take scalar
     expressions in the field generator ``t``; ``elem <name>`` takes a
     quaternion expression in ``t, i, j, k``.  ``#`` starts a comment.
+    Each statement appears once (``elem`` once per name), and an error in
+    one names it.
     """
-    field_src = a_src = b_src = None
-    elems_src: list[tuple[str, str]] = []
+    srcs: dict[str, str] = {}  # statement label -> expression
+    names: list[str] = []  # element names, in order
     stmts = [
         frag.strip()
         for line in text.splitlines()
@@ -714,39 +667,35 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
             raise AlgebraSpecError(f"expected 'key: value' in {stmt!r}")
         key, _, value = stmt.partition(":")
         key, value = key.strip(), value.strip()
-        if key == "field":
-            field_src = value
-        elif key == "a":
-            a_src = value
-        elif key == "b":
-            b_src = value
-        elif key.startswith("elem"):
+        if key.startswith("elem"):
             name = key[4:].strip()
             if not name.isidentifier():
                 raise AlgebraSpecError(f"bad element name in {stmt!r}")
-            elems_src.append((name, value))
-        else:
+            key = f"element {name!r}"
+            names.append(name)
+        elif key not in ("field", "a", "b"):
             raise AlgebraSpecError(f"unknown key {key!r}")
-    if field_src is None or a_src is None or b_src is None:
+        if key in srcs:
+            raise AlgebraSpecError(f"{key}: repeated statement")
+        srcs[key] = value
+    if not {"field", "a", "b"} <= srcs.keys():
         raise AlgebraSpecError("need 'field:', 'a:' and 'b:' statements")
 
-    f = field_create(field_src)
-    fops = _field_ops(f)
-    fenv = {"t": f.gen()}
-    a = _ExprParser(_tokenize(a_src), fenv, fops).parse()
-    b = _ExprParser(_tokenize(b_src), fenv, fops).parse()
-    algebra = QuatAlgebra(field=f, a=a, b=b)
-    qops = _quat_ops(algebra)
+    def read(label, parse):
+        try:
+            return parse(srcs[label])
+        except AlgebraSpecError as exc:
+            raise AlgebraSpecError(f"{label}: {exc}") from None
+
+    f = read("field", field_create)
+    scalar = partial(_evaluate, env={"t": f.gen()}, ops=_field_ops(f))
+    algebra = QuatAlgebra(field=f, a=read("a", scalar), b=read("b", scalar))
     qenv = {
         "t": algebra.scalar(f.gen()),
         "i": algebra.i(),
         "j": algebra.j(),
         "k": algebra.k(),
     }
-    elements = {}
-    for name, src in elems_src:
-        try:
-            elements[name] = _ExprParser(_tokenize(src), qenv, qops).parse()
-        except AlgebraSpecError as exc:
-            raise AlgebraSpecError(f"element {name!r}: {exc}") from None
+    quaternion = partial(_evaluate, env=qenv, ops=_quat_ops(algebra))
+    elements = {name: read(f"element {name!r}", quaternion) for name in names}
     return AlgebraSpec(algebra=algebra, elements=elements)

@@ -216,6 +216,25 @@ def test_quat_deep_nesting_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith("error: element 'v': expression nested too deeply")
 
 
+
+@pytest.mark.parametrize(
+    "spec,prefix",
+    [
+        (QUAT_SPEC.replace("a: t", "a: 1/0"), "error: a: division by zero"),
+        (QUAT_SPEC + "elem v: i/0\n", "error: element 'v': division by zero"),
+        (QUAT_SPEC.replace("x^2 - 2", "x/0"), "error: field: division by zero"),
+        (QUAT_SPEC + "b: 2\n", "error: b: repeated statement"),
+        (QUAT_SPEC + "elem jj: i\n", "error: element 'jj': repeated statement"),
+    ],
+    ids=["a", "elem", "field", "repeated-b", "repeated-elem"],
+)
+def test_quat_spec_errors_name_their_statement(tmp_path, capsys, spec, prefix):
+    path = tmp_path / "bad.txt"
+    path.write_text(spec)
+    code, out, err = run(capsys, ["quat", "analyze", str(path)])
+    assert code == 1 and out == "" and err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def test_force_triangle_cover(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text(TRIANGLE_COVER)

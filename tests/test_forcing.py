@@ -13,13 +13,13 @@ import pytest
 from rotforce import eulerorb, forcing
 from rotforce.forcing import (
     Certificate,
+    GroupWord,
     InvalidCoverGenerator,
     NotRepresentable,
     Presentation,
     PresentationSyntaxError,
     UnassignedGenerator,
     UnknownGenerator,
-    Word,
     _merged_power,
     check_relations,
     emit_interval_group,
@@ -69,37 +69,46 @@ mark alpha
 
 
 def test_word_parse_and_str():
-    w = Word.parse("A B^-1 C^3")
+    w = GroupWord.parse("A B^-1 C^3")
     assert w.letters == (("A", 1), ("B", -1), ("C", 3))
     assert str(w) == "A B^-1 C^3"
-    assert Word.parse(str(w)) == w
-    assert Word.parse("1") == Word(())
-    assert str(Word(())) == "1"
+    assert GroupWord.parse(str(w)) == w
+    assert GroupWord.parse("1") == GroupWord(())
+    assert str(GroupWord(())) == "1"
 
 
 def test_word_inverse_and_gens():
-    w = Word.parse("A B^2")
-    assert w.inverse() == Word.parse("B^-2 A^-1")
+    w = GroupWord.parse("A B^2")
+    assert w.inverse() == GroupWord.parse("B^-2 A^-1")
     assert w.gens() == {"A", "B"}
-    assert Word(()).inverse() == Word(())
+    assert GroupWord(()).inverse() == GroupWord(())
 
 
 def test_word_parse_errors():
     with pytest.raises(PresentationSyntaxError):
-        Word.parse("A^x")
+        GroupWord.parse("A^x")
     with pytest.raises(PresentationSyntaxError):
-        Word.parse("3bad")
+        GroupWord.parse("3bad")
     with pytest.raises(PresentationSyntaxError):
-        Word.parse("A^0")
+        GroupWord.parse("A^0")
+
+
+
+def test_word_alias_is_deprecated():
+    with pytest.warns(DeprecationWarning, match="GroupWord"):
+        assert forcing.Word is GroupWord
+    assert "GroupWord" in forcing.__all__ and "Word" not in forcing.__all__
+    with pytest.raises(AttributeError):
+        forcing.NoSuchName
 
 
 def test_merged_power_reduction():
-    assert _merged_power(Word.parse("A A")) == ("A", 2)
-    assert _merged_power(Word.parse("A^3 A^-1")) == ("A", 2)
-    assert _merged_power(Word.parse("X A^2 X^-1")) == ("A", 2)
-    assert _merged_power(Word.parse("X Y A Y^-1 X^-1")) == ("A", 1)
-    assert _merged_power(Word.parse("A B")) is None
-    assert _merged_power(Word(())) is None
+    assert _merged_power(GroupWord.parse("A A")) == ("A", 2)
+    assert _merged_power(GroupWord.parse("A^3 A^-1")) == ("A", 2)
+    assert _merged_power(GroupWord.parse("X A^2 X^-1")) == ("A", 2)
+    assert _merged_power(GroupWord.parse("X Y A Y^-1 X^-1")) == ("A", 1)
+    assert _merged_power(GroupWord.parse("A B")) is None
+    assert _merged_power(GroupWord(())) is None
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +217,11 @@ def _triangle_assignment():
 
 def test_eval_word_composes_moebius():
     rep = _triangle_assignment()
-    m = eval_word(Word.parse("A B"), rep)
+    m = eval_word(GroupWord.parse("A B"), rep)
     x = 0.123
     assert math.isclose(m(x), rep["A"](rep["B"](x)), abs_tol=1e-12)
     with pytest.raises(UnassignedGenerator):
-        eval_word(Word.parse("Q"), rep)
+        eval_word(GroupWord.parse("Q"), rep)
 
 
 def test_check_relations_triangle_rep():
@@ -220,10 +229,10 @@ def test_check_relations_triangle_rep():
     q = Presentation(
         generators=("A", "B", "C"),
         relators=(
-            (Word.parse("A^2"), Word(())),
-            (Word.parse("B^3"), Word(())),
-            (Word.parse("C^7"), Word(())),
-            (Word.parse("A B C"), Word(())),
+            (GroupWord.parse("A^2"), GroupWord(())),
+            (GroupWord.parse("B^3"), GroupWord(())),
+            (GroupWord.parse("C^7"), GroupWord(())),
+            (GroupWord.parse("A B C"), GroupWord(())),
         ),
     )
     report = check_relations(q, _triangle_assignment())
@@ -232,7 +241,7 @@ def test_check_relations_triangle_rep():
 
 
 def test_check_relations_detects_failure():
-    p = Presentation(generators=("a",), relators=((Word.parse("a"), Word(())),))
+    p = Presentation(generators=("a",), relators=((GroupWord.parse("a"), GroupWord(())),))
     rep = {"a": MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), 0.3))}
     report = check_relations(p, rep)
     assert not report.all_passed

@@ -437,8 +437,10 @@ def test_approx_at_is_correctly_rounded(case):
         assert abs(got - _coarse_approx(field, e.coeffs, place)) <= 1e-17 + math.ulp(got)
 
 
-def _coarse_embedding(alg: QuatAlgebra, x) -> np.ndarray:
-    """embed_unramified as written before refinement was cached, over _coarse_approx."""
+def _former_embedding(alg: QuatAlgebra, x, approx) -> np.ndarray:
+    """embed_unramified as written before its per-algebra constants were kept
+    (the swap decision, a and b re-derived for every element), over
+    ``approx(field, element, place)``."""
     f = alg.field
     place = _unramified_place(alg)
     a, b = alg.a, alg.b
@@ -446,8 +448,8 @@ def _coarse_embedding(alg: QuatAlgebra, x) -> np.ndarray:
     if f.sign_at(a, place) < 0:
         a, b = b, a
         x1, x2, x3 = x2, x1, -x3
-    av, bv = (_coarse_approx(f, v.coeffs, place) for v in (a, b))
-    c0, c1, c2, c3 = (_coarse_approx(f, v.coeffs, place) for v in (x0, x1, x2, x3))
+    av, bv = (approx(f, v, place) for v in (a, b))
+    c0, c1, c2, c3 = (approx(f, v, place) for v in (x0, x1, x2, x3))
     ra = math.sqrt(av)
     mi = np.array([[ra, 0.0], [0.0, -ra]])
     mj = np.array([[0.0, 1.0], [bv, 0.0]])
@@ -464,7 +466,10 @@ def test_embedding_matches_coarse_path(spec, swap, ints):
     assert is_fuchsian_admissible(alg)
     d = field.degree
     x = alg.elem(*(field.elem(ints[4 * k : 4 * k + d]) for k in range(4)))
-    assert np.max(np.abs(embed_unramified(alg, x) - _coarse_embedding(alg, x))) <= 1e-12
+    coarse = lambda f, v, place: _coarse_approx(f, v.coeffs, place)
+    assert np.max(np.abs(embed_unramified(alg, x) - _former_embedding(alg, x, coarse))) <= 1e-12
+    # the per-algebra constants change no bit of the result
+    assert np.array_equal(embed_unramified(alg, x), _former_embedding(alg, x, NumberField.approx_at))
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +556,31 @@ def test_ramification_profile_computed_once(monkeypatch):
     swapped = QuatAlgebra(field=alg.field, a=alg.b, b=alg.a)
     assert ramification_profile(swapped) == ramification_profile(alg)
     assert signs[0] == 8
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_embedding_constants_computed_once_per_algebra(monkeypatch, swap):
+    approx = _count_calls(monkeypatch, NumberField, "approx_at")
+    signs = _count_calls(monkeypatch, NumberField, "sign_at")
+    text, a, b = ADMISSIBLE[3]
+    field = field_create(text)
+    a, b = field.elem(a), field.elem(b)
+    alg = QuatAlgebra(field=field, a=b, b=a) if swap else QuatAlgebra(field=field, a=a, b=b)
+    x, y = alg.elem(1, 2, 3, 4), alg.elem(field.gen(), 0, -1, F(1, 3))
+    embed_unramified(alg, x)
+    approx[0] = signs[0] = 0
+    embed_unramified(alg, y)
+    # the four coordinates only: a, b and the swap are kept per algebra
+    assert (approx[0], signs[0]) == (4, 0)
+
+
+def test_field_create_isolates_roots_once(monkeypatch):
+    chains = _count_calls(monkeypatch, pr, "sturm_chain")
+    for text in FIELDS:
+        chains[0] = 0
+        field_create(text)
+        assert chains[0] == 1, text
+    chains[0] = 0
+    with pytest.raises(NotTotallyReal, match="^1 real roots for degree 3$"):
+        field_create("x^3 - x - 1")
+    assert chains[0] == 1
