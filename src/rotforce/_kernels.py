@@ -1,16 +1,29 @@
-"""The orbit loop behind every rotation-number estimate.
+"""The orbit loop behind rotation-number estimates, and its elliptic closed form.
 
-Everything expensive in this package reduces to iterating a circle
-homeomorphism f and adding up the displacements of its canonical lift F
-(the lift with F(0) in [0, 1)).  For t in [0, 1),
-F(t) = f(t) + [f(t) < f(0)], so one step of an orbit contributes
+Every estimate is the canonical-lift total F^n(x) - x of a circle
+homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
+[0, 1), F(t) = f(t) + [f(t) < f(0)], so one step of an orbit contributes
 ``f(t) - t + (f(t) < f(0))`` and n steps telescope to F^n(x) - x.
-:func:`lift_total` is the only place that sum is taken.  It runs one
-orbit on Python floats, or a batch of orbits (one per map) on numpy
-arrays.  The two primitive map kinds supply their steps here: the
-projective action of determinant-one matrices (:func:`rp1`) and
-piecewise-linear maps evaluated from an extended breakpoint table
+:func:`lift_total` takes that sum step by step, on Python floats for one
+orbit or on numpy arrays for a batch of orbits (one per map); it is the
+one general path, and the only one for piecewise-linear maps, words and
+non-elliptic matrices.  The two primitive map kinds supply their steps
+here: the projective action of determinant-one matrices (:func:`rp1`)
+and piecewise-linear maps evaluated from an extended breakpoint table
 (:func:`pl_table`, :func:`pl_eval`).
+
+An elliptic matrix M (|trace| < 2 - ``CLASS_TOL``, the band of
+``MoebiusReal.classify``) is conjugate to a rigid rotation, so
+:func:`elliptic_lift_totals` gives the same total in O(1) with no orbit.
+Its fixed point in the upper half-plane is x + iy with x = (a - d)/2c
+and y = sin(pi rho)/|c|, rho its rotation number in [0, 1).  The upper
+triangular g = [[sqrt y, x/sqrt y], [0, 1/sqrt y]] carries i there and
+fixes t = 0 on RP^1, so G(t) = atan2(sin pi t, y cos pi t + x sin pi t)/pi
+maps [0, 1] onto itself with no branch to choose, and G(t + k) = G(t) + k
+lifts g.  The canonical lift of M is then G(G^-1(t) + rho) (its value at
+0 is G(rho), in [0, 1)), hence F^n(x) = G(G^-1(x) + n rho).  That is
+continuous in n rho and decides no jump, so an orbit that closes up
+cannot drop a turn.
 
 Orbits start at the golden section ``ORBIT_START`` = (sqrt 5 - 1)/2, not
 at 0.  F jumps at 0, and an orbit of 0 under a rotation by p/q returns
@@ -27,6 +40,8 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+
+from .moebius import CLASS_TOL
 
 ORBIT_START = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,15 +75,51 @@ def rp1(a, b, c, d, t):
     return (np.arctan2(c * ct + d * st, a * ct + b * st) / np.pi) % 1.0
 
 
+def elliptic_rotation_numbers(a, c, d):
+    """Rotation numbers in [0, 1) of elliptic matrices, elementwise.
+
+    The formula of ``moebius.elliptic_rotation_number``: the angle phi of
+    the conjugate rotation has cos(phi) = trace/2 and the sign of c.
+    """
+    half = (a + d) / 2.0
+    s = np.sqrt(1.0 - half * half)
+    return (np.arctan2(np.copysign(s, c), half) / np.pi) % 1.0
+
+
+def elliptic_lift_totals(a, b, c, d, n: int):
+    """F^n(ORBIT_START) - ORBIT_START in closed form for elliptic matrices.
+
+    Entries are floats or numpy arrays of determinant-one matrices with
+    |a + d| < 2 - ``CLASS_TOL``, of either sign.
+    """
+    rho = elliptic_rotation_numbers(a, c, d)
+    x = (a - d) / (2.0 * c)  # fixed point x + iy
+    y = np.sin(np.pi * rho) / np.abs(c)
+    u = math.pi * ORBIT_START
+    # G^-1(ORBIT_START) + n rho, then F^n(ORBIT_START) = G of that
+    lifted = np.arctan2(y * math.sin(u), math.cos(u) - x * math.sin(u)) / np.pi + n * rho
+    turns = np.floor(lifted)
+    r = np.pi * (lifted - turns)
+    return turns + np.arctan2(np.sin(r), y * np.cos(r) + x * np.sin(r)) / np.pi - ORBIT_START
+
+
 def moebius_lift_totals(mats, n: int) -> np.ndarray:
     """Canonical-lift totals after n iterations for a batch of matrices.
 
     ``mats`` is (m, 4) in (a, b, c, d) order, determinant one.  The
     rotation-number estimate for row i is ``out[i] / n`` reduced mod 1.
+    Elliptic rows take :func:`elliptic_lift_totals`, the others one
+    batched :func:`lift_total` loop.
     """
     mats = np.asarray(mats, dtype=np.float64).reshape(-1, 4)
-    a, b, c, d = mats.T
-    return lift_total(lambda t: rp1(a, b, c, d, t), n, np.full(len(mats), ORBIT_START))
+    elliptic = np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - CLASS_TOL
+    out = np.empty(len(mats))
+    out[elliptic] = elliptic_lift_totals(*mats[elliptic].T, n)
+    rest = ~elliptic
+    if rest.any():
+        a, b, c, d = mats[rest].T
+        out[rest] = lift_total(lambda t: rp1(a, b, c, d, t), n, np.full(len(a), ORBIT_START))
+    return out
 
 
 def pl_table(xs, ys) -> tuple[list[float], list[float]]:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .moebius import MoebiusReal
+from .moebius import IsometryClass, MoebiusReal
 
 MONOTONE_GRID = 1 << 14
 _TIE_TOL = 1e-12
@@ -235,15 +235,20 @@ def _estimate_from_total(total: float, n: int) -> RotationEstimate:
 def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
     """Poincare estimate: canonical-lift displacement over n iterates.
 
-    The orbit starts at ``_kernels.ORBIT_START``.  The reported
-    ``error_bound`` 2/n is the conservative a-priori bound
-    |(lift^n(x) - x)/n - rot(f)| < 2/n valid for every circle
-    homeomorphism and every x.
+    The displacement is F^n(x) - x from x = ``_kernels.ORBIT_START``.  An
+    elliptic matrix action gets it in closed form by conjugating to a
+    rigid rotation (``_kernels.elliptic_lift_totals``); every other map
+    iterates n steps.  The reported ``error_bound`` 2/n is the
+    conservative a-priori bound |(lift^n(x) - x)/n - rot(f)| < 2/n valid
+    for every circle homeomorphism and every x, whichever way the
+    displacement was computed.
     """
     if n <= 0:
         raise ValueError("iteration count must be positive")
     m = f.as_moebius()
     if m is not None:
+        if m.classify() is IsometryClass.ELLIPTIC:
+            return _estimate_from_total(float(_kernels.elliptic_lift_totals(*m.entries(), n)), n)
         return _estimate_from_total(_kernels.lift_total(m.rp1, n, _kernels.ORBIT_START), n)
     certify_monotone(f)
     if isinstance(f, PiecewiseLinear):
@@ -252,7 +257,11 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
 
 
 def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstimate]:
-    """Batched estimates for matrix actions (single kernel dispatch)."""
+    """Batched estimates for matrix actions (single kernel dispatch).
+
+    Elliptic matrices take the closed form and the others one batched
+    orbit loop, as in :func:`rotation_number`, with the same 2/n bound.
+    """
     rows = [m.entries() for m in mats]
     totals = _kernels.moebius_lift_totals(rows, n)
     return [_estimate_from_total(float(t), n) for t in totals]

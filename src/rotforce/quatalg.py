@@ -58,6 +58,7 @@ class AlgebraSpecError(ValueError):
     """A textual algebra description failed to parse."""
 
 
+_MAX_EXPONENT = 100  # largest literal exponent in a spec: x^e costs O(e^2) Fraction products
 _REFINE_CAP = 400  # interval halvings one sign or approximation query may spend
 _STEP_BITS = 16  # halvings per refine_root call
 
@@ -541,8 +542,8 @@ def arithmetic_rotation_number(algebra: QuatAlgebra, q: QuatElem) -> Angle:
 
 def _evaluate(text: str, env: dict, ops: dict):
     """The value of an expression in ``+ - * /``, unary ``-`` and ``+``,
-    ``^`` (or ``**``) to a literal non-negative integer, parentheses, decimal
-    integer literals and the names in ``env``.
+    ``^`` (or ``**``) to a literal integer from 0 to ``_MAX_EXPONENT``,
+    parentheses, decimal integer literals and the names in ``env``.
 
     Python's own parser reads the text; only the nodes above are evaluated.
     ``ops`` maps each ``ast`` operator class to its operation over the
@@ -561,6 +562,8 @@ def _evaluate(text: str, env: dict, ops: dict):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             if not literal(node.right):
                 raise AlgebraSpecError(f"exponent must be a literal non-negative integer in {text!r}")
+            if node.right.value > _MAX_EXPONENT:
+                raise AlgebraSpecError(f"exponent {node.right.value} above {_MAX_EXPONENT} in {text!r}")
             return ops[ast.Pow](value(node.left), node.right.value)
         if isinstance(node, ast.BinOp) and type(node.op) in ops:
             return ops[type(node.op)](value(node.left), value(node.right))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,18 @@ def test_rotnum_rotation_map(tmp_path, capsys):
     assert doc["iterations"] == 20000
     assert doc["meta"]["command"] == "rotnum"
     assert doc["meta"]["version"]
+
+
+def test_rotnum_billion_iterations_in_closed_form(tmp_path, capsys):
+    # the README rotation is elliptic, so its displacement needs no orbit
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"type": "rotation", "theta": 0.375}))
+    t0 = time.perf_counter()
+    doc = run_json(capsys, ["rotnum", "--map", str(path), "--iters", "1000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert doc["iterations"] == 10**9
+    assert doc["error_bound"] == 2e-9
+    assert abs(doc["rotation_number"] - 0.375) <= doc["error_bound"]
 
 
 def test_rotnum_word_map(tmp_path, capsys):
@@ -225,13 +238,18 @@ def test_quat_deep_nesting_exits_1(tmp_path, capsys):
         (QUAT_SPEC.replace("x^2 - 2", "x/0"), "error: field: division by zero"),
         (QUAT_SPEC + "b: 2\n", "error: b: repeated statement"),
         (QUAT_SPEC + "elem jj: i\n", "error: element 'jj': repeated statement"),
+        ("field: x^200000 - 2\na: t\nb: -1\n", "error: field: exponent 200000 above 100"),
+        (QUAT_SPEC + "elem v: (1+t)^10000000\n", "error: element 'v': exponent 10000000 above 100"),
     ],
-    ids=["a", "elem", "field", "repeated-b", "repeated-elem"],
+    ids=["a", "elem", "field", "repeated-b", "repeated-elem", "field-exponent", "elem-exponent"],
 )
 def test_quat_spec_errors_name_their_statement(tmp_path, capsys, spec, prefix):
     path = tmp_path / "bad.txt"
     path.write_text(spec)
+    t0 = time.perf_counter()
     code, out, err = run(capsys, ["quat", "analyze", str(path)])
+    # before exponents were bounded, each exponent spec ran past 10 s
+    assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == "" and err.startswith(prefix) and err.count("\n") == 1, err
 
 

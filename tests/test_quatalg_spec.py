@@ -258,6 +258,18 @@ def test_parenthesized_exponent_now_reads():
     assert _read_new("field", "t^(-1)") is REJECTED
 
 
+def test_exponents_are_bounded():
+    t = FIELD.gen()
+    assert _read_new("field", "t^100") == _read_old("field", "t^100") == t**100
+    assert _read_new("poly", "x^100") == pr.poly((0,) * 100 + (1,))
+    for level in LEVELS:
+        name = next(iter(LEVELS[level][0]))
+        for text in (f"{name}^101", f"{name} ** 000101", f"(1 + {name})^10000000"):
+            assert _read_new(level, text) is REJECTED
+    with pytest.raises(AlgebraSpecError, match=r"^exponent 200000 above 100 in 'x\^200000 - 2'$"):
+        field_create("x^200000 - 2")
+
+
 def test_non_ascii_digits_now_rejected():
     assert _read_old("field", "١") == FIELD.one()  # ARABIC-INDIC DIGIT ONE
     for text in ("١", "t + ٢", "t^٢", "２"):
