@@ -1,4 +1,4 @@
-"""The orbit loop behind rotation-number estimates, and its elliptic closed form.
+"""Canonical-lift totals behind rotation-number estimates: the orbit loop and the matrix closed form.
 
 Every estimate is the canonical-lift total F^n(x) - x of a circle
 homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
@@ -6,24 +6,40 @@ homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
 ``f(t) - t + (f(t) < f(0))`` and n steps telescope to F^n(x) - x.
 :func:`lift_total` takes that sum step by step, on Python floats for one
 orbit or on numpy arrays for a batch of orbits (one per map); it is the
-one general path, and the only one for piecewise-linear maps, words and
-non-elliptic matrices.  The two primitive map kinds supply their steps
-here: the projective action of determinant-one matrices (:func:`rp1`)
-and piecewise-linear maps evaluated from an extended breakpoint table
+path for piecewise-linear maps and words, and the test oracle for
+matrices.  The two primitive map kinds supply their steps here: the
+projective action of determinant-one matrices (:func:`rp1`) and
+piecewise-linear maps evaluated from an extended breakpoint table
 (:func:`pl_table`, :func:`pl_eval`).
 
-An elliptic matrix M (|trace| < 2 - ``CLASS_TOL``, the band of
-``MoebiusReal.classify``) is conjugate to a rigid rotation, so
-:func:`elliptic_lift_totals` gives the same total in O(1) with no orbit.
-Its fixed point in the upper half-plane is x + iy with x = (a - d)/2c
-and y = sin(pi rho)/|c|, rho its rotation number in [0, 1).  The upper
-triangular g = [[sqrt y, x/sqrt y], [0, 1/sqrt y]] carries i there and
-fixes t = 0 on RP^1, so G(t) = atan2(sin pi t, y cos pi t + x sin pi t)/pi
-maps [0, 1] onto itself with no branch to choose, and G(t + k) = G(t) + k
-lifts g.  The canonical lift of M is then G(G^-1(t) + rho) (its value at
-0 is G(rho), in [0, 1)), hence F^n(x) = G(G^-1(x) + n rho).  That is
-continuous in n rho and decides no jump, so an orbit that closes up
-cannot drop a turn.
+A matrix M takes no orbit (:func:`moebius_lift_totals`).  The total is
+``frac`` plus whole turns.  ``frac`` = f^n(x) - x is read off
+M^n = s_n M - s_(n-1) I (Cayley-Hamilton), where s_n = sin(n phi)/sin phi
+for trace 2 cos phi and s_n = +-sinh(n theta)/sinh theta for trace
++-2 cosh theta.  Only their ratio acts on RP^1, and it stays finite for
+any n.  Repeated squaring of M would not do: a parabolic M is a Jordan
+block, whose squares lose every digit by n = 2^25 and overflow by 2^30.
+The turns come from the class of M:
+
+* Elliptic (|trace| < 2, c != 0): M is conjugate to a rigid rotation, so
+  :func:`elliptic_lift_totals` gives the total in O(1).  Its fixed point
+  in the upper half-plane is x + iy with x = (a - d)/2c and
+  y = sin(pi rho)/|c|, rho its rotation number in [0, 1).  The upper
+  triangular g = [[sqrt y, x/sqrt y], [0, 1/sqrt y]] carries i there and
+  fixes t = 0 on RP^1, so G(t) = atan2(sin pi t, y cos pi t + x sin pi t)/pi
+  maps [0, 1] onto itself with no branch to choose, and G(t + k) = G(t) + k
+  lifts g.  The canonical lift of M is then G(G^-1(t) + rho) (its value
+  at 0 is G(rho), in [0, 1)), hence F^n(x) = G(G^-1(x) + n rho).  That is
+  continuous in n rho and decides no jump, so an orbit that closes up
+  cannot drop a turn.  Near |trace| = 2 the conjugacy loses digits, so
+  only the turns of this total are kept: total = frac + round(it - frac).
+* Otherwise an eigenvector of M spans a fixed point p of f.  F(p) = p + k
+  with k = [p < f(0)], so k is the translation number of F, and G = F - k
+  fixes every lift of every fixed point.  The G-orbit of x therefore
+  stays between two of them and moves less than a turn, in the direction
+  of sign(G(x) - x): the total is n k plus ``frac`` lifted into [0, 1)
+  or (-1, 0] by that sign.  A step G(x) - x within rounding of 0 has no
+  sign, and ``frac`` is lifted into [-1/2, 1/2].
 
 Orbits start at the golden section ``ORBIT_START`` = (sqrt 5 - 1)/2, not
 at 0.  F jumps at 0, and an orbit of 0 under a rotation by p/q returns
@@ -41,9 +57,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .moebius import CLASS_TOL
-
 ORBIT_START = (math.sqrt(5.0) - 1.0) / 2.0
+_STEP_TOL = 1e-15  # a few roundings of a circle coordinate in [0, 1)
 
 
 def lift_total(step, n: int, start):
@@ -51,7 +66,8 @@ def lift_total(step, n: int, start):
 
     ``step`` maps circle coordinates in [0, 1) into [0, 1).  ``start`` is a
     float, or a numpy array of starting points that ``step`` maps
-    elementwise (one orbit per map of a batch).
+    elementwise (one orbit per map of a batch).  It costs n steps, so
+    matrices take :func:`moebius_lift_totals` instead.
     """
     zero = start * 0.0
     f0 = step(zero)
@@ -82,7 +98,7 @@ def elliptic_rotation_numbers(a, c, d):
     the conjugate rotation has cos(phi) = trace/2 and the sign of c.
     """
     half = (a + d) / 2.0
-    s = np.sqrt(1.0 - half * half)
+    s = np.sqrt((1.0 - half) * (1.0 + half))
     return (np.arctan2(np.copysign(s, c), half) / np.pi) % 1.0
 
 
@@ -90,7 +106,7 @@ def elliptic_lift_totals(a, b, c, d, n: int):
     """F^n(ORBIT_START) - ORBIT_START in closed form for elliptic matrices.
 
     Entries are floats or numpy arrays of determinant-one matrices with
-    |a + d| < 2 - ``CLASS_TOL``, of either sign.
+    |a + d| < 2 and c != 0, of either sign.
     """
     rho = elliptic_rotation_numbers(a, c, d)
     x = (a - d) / (2.0 * c)  # fixed point x + iy
@@ -104,22 +120,63 @@ def elliptic_lift_totals(a, b, c, d, n: int):
 
 
 def moebius_lift_totals(mats, n: int) -> np.ndarray:
-    """Canonical-lift totals after n iterations for a batch of matrices.
+    """F^n(ORBIT_START) - ORBIT_START in closed form for a batch of matrices.
 
-    ``mats`` is (m, 4) in (a, b, c, d) order, determinant one.  The
-    rotation-number estimate for row i is ``out[i] / n`` reduced mod 1.
-    Elliptic rows take :func:`elliptic_lift_totals`, the others one
-    batched :func:`lift_total` loop.
+    ``mats`` is (m, 4) in (a, b, c, d) order, determinant one, of either
+    sign.  The rotation-number estimate for row i is ``out[i] / n``
+    reduced mod 1.  Every row costs O(1) for any n: ``frac`` is read off
+    M^n and the whole turns come from the row's class (module docstring).
     """
     mats = np.asarray(mats, dtype=np.float64).reshape(-1, 4)
-    elliptic = np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - CLASS_TOL
-    out = np.empty(len(mats))
-    out[elliptic] = elliptic_lift_totals(*mats[elliptic].T, n)
-    rest = ~elliptic
-    if rest.any():
-        a, b, c, d = mats[rest].T
-        out[rest] = lift_total(lambda t: rp1(a, b, c, d, t), n, np.full(len(a), ORBIT_START))
+    # one row as numpy scalars, on which each numpy call costs a third of one on a one-row array
+    a, b, c, d = mats.T if len(mats) > 1 else mats[0]
+    s = np.sqrt(a * d - b * c)  # determinant one beyond rounding, as M^n assumes; RP^1 sees no scale
+    a, b, c, d = a / s, b / s, c / s, d / s
+    rotation = (np.abs(a + d) < 2.0) & (c != 0.0)
+    if np.ndim(rotation) == 0:
+        return np.array([(_rotation_totals if rotation else _fixed_point_totals)(a, b, c, d, n)])
+    cols = np.array([a, b, c, d])
+    out = np.empty(len(rotation))
+    for rows, totals in ((rotation, _rotation_totals), (~rotation, _fixed_point_totals)):
+        if rows.any():
+            out[rows] = totals(*cols[:, rows], n)
     return out
+
+
+def _rotation_totals(a, b, c, d, n: int):
+    """Totals of elliptic rows (|trace| < 2, c != 0), turns from the conjugacy to a rotation."""
+    phi = np.arccos((a + d) / 2.0)  # M^n = s_n M - s_(n-1) I with s_n = sin(n phi)/sin(phi)
+    return _lifted(a, b, c, d, np.sin(n * phi), np.sin((n - 1) * phi), elliptic_lift_totals(a, b, c, d, n))
+
+
+def _fixed_point_totals(a, b, c, d, n: int):
+    """Totals of the other rows, turns from a fixed point on the circle."""
+    half = (a + d) / 2.0
+    e = np.maximum(np.abs(half) - 1.0, 0.0)
+    u = e + np.sqrt(e) * np.sqrt(np.abs(half) + 1.0)  # |lambda| - 1, lambda the larger eigenvalue
+    # |s_n| = sinh(n theta)/sinh(theta) for |lambda| = e^theta, and theta = 0 has the
+    # limit s_(n-1)/s_n = (n - 1)/n, as has any tiny theta
+    theta = np.log1p(np.maximum(u, 1e-300))
+    ratio = np.exp(-theta) * np.expm1(-2.0 * (n - 1) * theta) / np.expm1(-2.0 * n * theta)
+    # a fixed point p: the eigenvectors (b, ev - a) and (ev - d, c) for ev are parallel,
+    # and either may be 0, so add them facing the same way
+    ev = np.copysign(1.0 + u, half)
+    side = np.copysign(1.0, b * (ev - d) + (ev - a) * c)
+    p = np.arctan2(ev - a + side * c, b + side * (ev - d)) / np.pi % 1.0
+    f0 = rp1(a, b, c, d, 0.0)
+    k = p < f0  # F(p) = p + k, so G = F - k fixes every lift of every fixed point
+    f1 = rp1(a, b, c, d, ORBIT_START)
+    # the G-orbit moves less than a turn, in the direction of G(x0) - x0; a step
+    # within rounding (x0 fixed, as by +-I) is none, so the orbit is taken to stay
+    step = f1 - ORBIT_START + (f1 < f0) - k
+    guess = n * k + 0.5 * np.sign(step) * (np.abs(step) > _STEP_TOL)
+    return _lifted(a, b, c, d, 1.0, np.copysign(ratio, half), guess)
+
+
+def _lifted(a, b, c, d, s1, s0, guess):
+    """``frac`` = f^n(x0) - x0 read off s1 M - s0 I, a multiple of M^n, plus the whole turns nearest ``guess``."""
+    frac = rp1(s1 * a - s0, s1 * b, s1 * c, s1 * d - s0, ORBIT_START) - ORBIT_START
+    return frac + np.rint(guess - frac)
 
 
 def pl_table(xs, ys) -> tuple[list[float], list[float]]:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .moebius import IsometryClass, MoebiusReal
+from .moebius import MoebiusReal
 
 MONOTONE_GRID = 1 << 14
 _TIE_TOL = 1e-12
@@ -106,6 +106,13 @@ class PiecewiseLinear(CircleMap):
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
             raise ValueError("breakpoints must be matching non-empty 1-d arrays")
+        for name, vals in (("positions xs", xs), ("images ys", ys)):
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if len(bad):
+                i = int(bad[0])
+                raise ValueError(
+                    f"piecewise-linear map: breakpoint {name} must be finite, got {vals[i]} at index {i}"
+                )
         if xs[0] < 0.0 or xs[-1] >= 1.0:
             raise ValueError("breakpoint positions must lie in [0, 1)")
         if np.any(np.diff(xs) <= 0):
@@ -199,14 +206,15 @@ def certify_monotone(f: CircleMap, grid: int = MONOTONE_GRID) -> None:
 
     A circular sequence of image values is monotone of degree one exactly
     when it has a single descent, counting the closing wrap-around.
-    Matrix actions are monotone by construction and are not re-checked.
+    Matrix actions and piecewise-linear maps are certified by their
+    constructors, and a word of them composes homeomorphisms, so those
+    are not sampled again.
     """
-    if f.as_moebius() is not None:
+    letters = f.letters if type(f) is Word else (f,)
+    if all(type(let) in (MoebiusOnRP1, PiecewiseLinear) for let in letters):
         return
     ts = np.linspace(0.0, 1.0, grid, endpoint=False)
-    extra = [let.xs for let in getattr(f, "letters", [f]) if isinstance(let, PiecewiseLinear)]
-    if isinstance(f, PiecewiseLinear):
-        extra.append(f.xs)
+    extra = [let.xs for let in letters if isinstance(let, PiecewiseLinear)]
     if extra:
         ts = np.unique(np.concatenate([ts] + extra))
     vals = f.eval_array(ts)
@@ -235,21 +243,18 @@ def _estimate_from_total(total: float, n: int) -> RotationEstimate:
 def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
     """Poincare estimate: canonical-lift displacement over n iterates.
 
-    The displacement is F^n(x) - x from x = ``_kernels.ORBIT_START``.  An
-    elliptic matrix action gets it in closed form by conjugating to a
-    rigid rotation (``_kernels.elliptic_lift_totals``); every other map
-    iterates n steps.  The reported ``error_bound`` 2/n is the
+    The displacement is F^n(x) - x from x = ``_kernels.ORBIT_START``.  A
+    matrix action gets it in closed form, in O(1) for any n
+    (``_kernels.moebius_lift_totals``); piecewise-linear maps and other
+    words iterate n steps.  The reported ``error_bound`` 2/n is the
     conservative a-priori bound |(lift^n(x) - x)/n - rot(f)| < 2/n valid
     for every circle homeomorphism and every x, whichever way the
     displacement was computed.
     """
     if n <= 0:
         raise ValueError("iteration count must be positive")
-    m = f.as_moebius()
-    if m is not None:
-        if m.classify() is IsometryClass.ELLIPTIC:
-            return _estimate_from_total(float(_kernels.elliptic_lift_totals(*m.entries(), n)), n)
-        return _estimate_from_total(_kernels.lift_total(m.rp1, n, _kernels.ORBIT_START), n)
+    if (m := f.as_moebius()) is not None:
+        return _estimate_from_total(float(_kernels.moebius_lift_totals([m.entries()], n)[0]), n)
     certify_monotone(f)
     if isinstance(f, PiecewiseLinear):
         return _estimate_from_total(_kernels.pl_lift_total(f.xs, f.ys, n), n)
@@ -259,8 +264,8 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
 def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstimate]:
     """Batched estimates for matrix actions (single kernel dispatch).
 
-    Elliptic matrices take the closed form and the others one batched
-    orbit loop, as in :func:`rotation_number`, with the same 2/n bound.
+    The closed form of :func:`rotation_number`, one row per matrix, with
+    the same 2/n bound.
     """
     rows = [m.entries() for m in mats]
     totals = _kernels.moebius_lift_totals(rows, n)

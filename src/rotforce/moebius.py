@@ -259,7 +259,7 @@ def elliptic_rotation_number(m: MoebiusReal) -> float:
     half = m.trace / 2.0
     if abs(half) >= 1.0 - CLASS_TOL / 2.0:
         raise NotElliptic(f"|trace| = {abs(m.trace)} is not < 2")
-    s = math.sqrt(1.0 - half * half)
+    s = math.sqrt((1.0 - half) * (1.0 + half))  # no cancellation near |half| = 1
     phi = math.atan2(s if m.c > 0 else -s, half)
     return (phi / math.pi) % 1.0
 

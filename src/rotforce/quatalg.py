@@ -58,7 +58,7 @@ class AlgebraSpecError(ValueError):
     """A textual algebra description failed to parse."""
 
 
-_MAX_EXPONENT = 100  # largest literal exponent in a spec: x^e costs O(e^2) Fraction products
+_MAX_EXPONENT = 100  # largest exponent and degree in a spec: x^e costs O(e^2) Fraction products
 _REFINE_CAP = 400  # interval halvings one sign or approximation query may spend
 _STEP_BITS = 16  # halvings per refine_root call
 
@@ -546,6 +546,9 @@ def _evaluate(text: str, env: dict, ops: dict):
     parentheses, decimal integer literals and the names in ``env``.
 
     Python's own parser reads the text; only the nodes above are evaluated.
+    A walk before evaluation bounds the degree of the expression by
+    ``_MAX_EXPONENT``: names count 1 and literals 0, ``+`` and ``-`` take
+    the larger degree, ``*`` and ``/`` add them, and ``^ e`` multiplies by e.
     ``ops`` maps each ``ast`` operator class to its operation over the
     operand type, and ``ast.Constant`` to the conversion of a literal.
     """
@@ -558,12 +561,22 @@ def _evaluate(text: str, env: dict, ops: dict):
     def literal(node) -> bool:
         return isinstance(node, ast.Constant) and src[node.col_offset : node.end_col_offset].isdigit()
 
-    def value(node):
+    def degree(node) -> int:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             if not literal(node.right):
                 raise AlgebraSpecError(f"exponent must be a literal non-negative integer in {text!r}")
             if node.right.value > _MAX_EXPONENT:
                 raise AlgebraSpecError(f"exponent {node.right.value} above {_MAX_EXPONENT} in {text!r}")
+            return degree(node.left) * node.right.value
+        if isinstance(node, ast.BinOp):
+            left, right = degree(node.left), degree(node.right)
+            return max(left, right) if isinstance(node.op, (ast.Add, ast.Sub)) else left + right
+        if isinstance(node, ast.UnaryOp):
+            return degree(node.operand)
+        return int(isinstance(node, ast.Name))
+
+    def value(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             return ops[ast.Pow](value(node.left), node.right.value)
         if isinstance(node, ast.BinOp) and type(node.op) in ops:
             return ops[type(node.op)](value(node.left), value(node.right))
@@ -581,6 +594,8 @@ def _evaluate(text: str, env: dict, ops: dict):
             # such as "invalid decimal literal" for 1if: a node rejected below
             warnings.simplefilter("ignore", SyntaxWarning)
             tree = ast.parse(src, mode="eval")
+        if (d := degree(tree.body)) > _MAX_EXPONENT:
+            raise AlgebraSpecError(f"degree {d} above {_MAX_EXPONENT} in {text!r}")
         return value(tree.body)
     except ZeroDivisionError:
         raise AlgebraSpecError(f"division by zero in {text!r}") from None

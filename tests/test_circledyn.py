@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rotforce.circledyn import (
+    CircleMap,
     GapBudgetExceeded,
     MoebiusOnRP1,
     NotMonotone,
@@ -131,17 +132,51 @@ def test_piecewise_linear_rejects_folds_at_construction():
         PiecewiseLinear([0.0, 0.5, 0.25], [0.1, 0.3, 0.6])
 
 
+def test_piecewise_linear_rejects_non_finite_breakpoints():
+    prefix = "^piecewise-linear map: breakpoint "
+    with pytest.raises(ValueError, match=prefix + "images ys must be finite, got nan at index 1$"):
+        PiecewiseLinear([0.1, 0.3, 0.5], [0.2, math.nan, 0.6])
+    with pytest.raises(ValueError, match=prefix + "positions xs must be finite, got inf at index 2$"):
+        PiecewiseLinear([0.1, 0.3, math.inf], [0.2, 0.4, 0.6])
+
+
+class _Fold(CircleMap):
+    def __call__(self, t):
+        return (t + 0.3 * math.sin(4.0 * math.pi * t)) % 1.0
+
+
 def test_certify_monotone_rejects_folding_callable():
-    from rotforce.circledyn import CircleMap
+    pl = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    for f in (_Fold(), Word([_Fold(), pl]), Word([MoebiusOnRP1(MoebiusReal.rotation(0.3)), _Fold()])):
+        with pytest.raises(NotMonotone):
+            certify_monotone(f)
+        with pytest.raises(NotMonotone):
+            rotation_number(f, 100)
 
-    class Fold(CircleMap):
-        def __call__(self, t):
-            return (t + 0.3 * math.sin(4.0 * math.pi * t)) % 1.0
 
-    with pytest.raises(NotMonotone):
-        certify_monotone(Fold())
-    with pytest.raises(NotMonotone):
-        rotation_number(Fold(), 100)
+class _Shift(CircleMap):
+    def __call__(self, t):
+        return (t + 0.1) % 1.0
+
+
+def test_known_kinds_are_not_sampled_again(monkeypatch):
+    sampled = []
+    for cls in (CircleMap, MoebiusOnRP1, PiecewiseLinear, Word):
+
+        def spy(self, ts, original=cls.eval_array):
+            sampled.append(type(self))
+            return original(self, ts)
+
+        monkeypatch.setattr(cls, "eval_array", spy)
+    pl = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    m = MoebiusOnRP1(MoebiusReal.dilation(0.7))
+    denjoy = denjoy_blowup([rotation_about(HPoint(0.0, 1.0), GOLDEN)], 0.1)[0]
+    for f in (pl, m, denjoy, Word([]), Word([pl, m, pl.inverse()]), Word([m, Word([denjoy, m])])):
+        certify_monotone(f)
+    assert sampled == []
+    # a word with any other letter is sampled as a whole
+    certify_monotone(Word([pl, _Shift()]))
+    assert sampled[0] is Word and set(sampled[1:]) == {_Shift, PiecewiseLinear}
 
 
 def test_word_composition_and_inverse():

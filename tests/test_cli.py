@@ -59,6 +59,41 @@ def test_rotnum_billion_iterations_in_closed_form(tmp_path, capsys):
     assert abs(doc["rotation_number"] - 0.375) <= doc["error_bound"]
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.5, 1.25], [-0.2, 0.5]],  # parabolic: trace 2
+        [[2.0, 1.0], [1.0, 1.0]],  # hyperbolic: trace 3
+    ],
+)
+def test_rotnum_billion_iterations_without_a_rotation(tmp_path, capsys, matrix):
+    # a fixed point on the circle gives these a closed form too
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"type": "moebius", "matrix": matrix}))
+    t0 = time.perf_counter()
+    doc = run_json(capsys, ["rotnum", "--map", str(path), "--iters", "1000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert doc["iterations"] == 10**9
+    assert min(doc["rotation_number"], 1.0 - doc["rotation_number"]) <= doc["error_bound"] == 2e-9
+
+
+@pytest.mark.parametrize(
+    "xs,ys,message",
+    [
+        ("[0.1, 0.3, 0.5]", "[0.2, NaN, 0.6]", "breakpoint images ys must be finite, got nan at index 1"),
+        ("[0.1, NaN, 0.5]", "[0.2, 0.4, 0.6]", "breakpoint positions xs must be finite, got nan at index 1"),
+        ("[0.1, 0.3, 0.5]", "[0.2, 0.4, Infinity]", "breakpoint images ys must be finite, got inf at index 2"),
+    ],
+)
+def test_rotnum_rejects_non_finite_breakpoints(tmp_path, capsys, xs, ys, message):
+    # Python's json reads NaN and Infinity
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"type": "pl", "xs": {xs}, "ys": {ys}}}')
+    code, out, err = run(capsys, ["rotnum", "--map", str(path)])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: piecewise-linear map: {message}"]
+
+
 def test_rotnum_word_map(tmp_path, capsys):
     spec = {
         "type": "word",
@@ -240,15 +275,25 @@ def test_quat_deep_nesting_exits_1(tmp_path, capsys):
         (QUAT_SPEC + "elem jj: i\n", "error: element 'jj': repeated statement"),
         ("field: x^200000 - 2\na: t\nb: -1\n", "error: field: exponent 200000 above 100"),
         (QUAT_SPEC + "elem v: (1+t)^10000000\n", "error: element 'v': exponent 10000000 above 100"),
+        # nested powers and products are bounded by the degree they build
+        ("field: (x^100)^100 - 2\na: t\nb: -1\n", "error: field: degree 10000 above 100"),
+        (QUAT_SPEC + "elem v: ((1+t)^100)^100\n", "error: element 'v': degree 10000 above 100"),
+        (
+            QUAT_SPEC + "elem v: " + "*".join(["(1+t)^100"] * 50) + "\n",
+            "error: element 'v': degree 5000 above 100",
+        ),
     ],
-    ids=["a", "elem", "field", "repeated-b", "repeated-elem", "field-exponent", "elem-exponent"],
+    ids=[
+        "a", "elem", "field", "repeated-b", "repeated-elem", "field-exponent", "elem-exponent",
+        "field-nested-power", "elem-nested-power", "elem-power-product",
+    ],
 )
 def test_quat_spec_errors_name_their_statement(tmp_path, capsys, spec, prefix):
     path = tmp_path / "bad.txt"
     path.write_text(spec)
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["quat", "analyze", str(path)])
-    # before exponents were bounded, each exponent spec ran past 10 s
+    # before exponents and degrees were bounded, each such spec ran past 5 s or failed unnamed
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == "" and err.startswith(prefix) and err.count("\n") == 1, err
 

@@ -1,9 +1,9 @@
-"""The elliptic closed form of the canonical-lift total against the kept orbit loop.
+"""The closed form of the canonical-lift total of a matrix against the kept orbit loop.
 
-``_kernels.lift_total`` steps an orbit and is the oracle here.  Elliptic
-matrices do not reach it through ``rotation_number`` or
-``rotation_numbers``, so these tests call it directly, one orbit at a
-time on floats and as one batch on numpy arrays.
+``_kernels.lift_total`` steps an orbit and is the oracle here.  No matrix
+reaches it through ``rotation_number`` or ``rotation_numbers``, so these
+tests call it directly, one orbit at a time on floats and as one batch
+on numpy arrays.
 """
 
 import math
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from rotforce import _kernels
 from rotforce.circledyn import MoebiusOnRP1, circ_dist, rotation_number, rotation_numbers
 from rotforce.moebius import (
-    CLASS_TOL,
     HPoint,
     IsometryClass,
     MoebiusReal,
@@ -113,7 +112,23 @@ def test_mixed_batch_keeps_row_positions(n):
         (1.0, 0.0, 0.0, 1.0),
         (-1.0, 0.0, 0.0, -1.0),
         (-1.0, -0.5, 0.0, -1.0),  # parabolic with trace -2
+        # c == 0 and a trace that rounds below 2: no rotation to conjugate to
+        (1.0 - 2.0**-52, 3.0, 0.0, 1.0),
+        (1.0, -3.0, 0.0, 1.0 - 2.0**-52),
+        (-1.0, 0.5, 0.0, 2.0**-52 - 1.0),
+        # triangular, so one of the two eigenvector formulas is the zero vector
+        (2.0, 0.0, 1.0, 0.5),
+        (0.5, 0.0, -1.0, 2.0),
+        (0.5, 1.0, 0.0, 2.0),
+        (2.5, -2.0, 0.5, 0.0),  # the two formulas are opposite vectors of one length
     ]
+    assert all(abs(row[0] + row[3]) < 2.0 for row in others[-7:-4])
+    # a parabolic and an attracting hyperbolic matrix that fix the orbit start
+    u, v = math.cos(math.pi * _kernels.ORBIT_START), math.sin(math.pi * _kernels.ORBIT_START)
+    fixing = [(1.0 - 0.5 * u * v, 0.5 * u * u, -0.5 * v * v, 1.0 + 0.5 * u * v)]
+    r = np.array([[u, -v], [v, u]])
+    fixing.append(tuple((r @ np.diag([2.0, 0.5]) @ r.T).ravel()))
+    others += fixing + [tuple(-x for x in row) for row in fixing]
     flipped = [tuple(-v for v in row) for row in elliptic[:4]]
     rows = elliptic + others + flipped
     rows = [rows[i] for i in rng.permutation(len(rows))]
@@ -121,6 +136,14 @@ def test_mixed_batch_keeps_row_positions(n):
     _assert_totals_agree(totals, _batch_loop(rows, n), n)
     for row, total in zip(rows, totals):
         assert abs(total - _kernels.lift_total(MoebiusReal(*row).rp1, n, _kernels.ORBIT_START)) < 1e-8
+
+
+@pytest.mark.parametrize("n", NS[:3])
+def test_totals_take_their_digits_from_the_power(n):
+    # the class formulas only choose the whole turns: near |trace| = 2 the
+    # elliptic conjugacy alone is off by about 3e-10 at n = 1
+    rows = [m.entries() for m in MATS]
+    assert np.max(np.abs(_kernels.moebius_lift_totals(rows, n) - _batch_loop(rows, n))) < 1e-11
 
 
 def test_rotation_numbers_are_the_moebius_formula():
@@ -133,7 +156,7 @@ def test_rotation_numbers_are_the_moebius_formula():
     assert max(circ_dist(g, w) for g, w in zip(_kernels.elliptic_rotation_numbers(-a, -c, -d), want)) <= 1e-15
 
 
-def test_only_elliptic_matrices_skip_the_loop(monkeypatch):
+def test_no_matrix_reaches_the_loop(monkeypatch):
     looped = []
 
     def spy(step, n, start):
@@ -142,18 +165,9 @@ def test_only_elliptic_matrices_skip_the_loop(monkeypatch):
 
     loop = _kernels.lift_total
     monkeypatch.setattr(_kernels, "lift_total", spy)
-    band = _band(227)
-    elliptic = [abs(m.trace) < 2.0 - CLASS_TOL for m in band]
-    assert elliptic == [m.classify() is IsometryClass.ELLIPTIC for m in band]
-    rotation_numbers(band, 7)
-    assert [len(start) for start in looped] == [elliptic.count(False)]
-    for m, inside in zip(band, elliptic):
-        looped.clear()
+    rotation_numbers(MATS, 7)
+    for m in MATS:
         rotation_number(MoebiusOnRP1(m), 7)
-        # a matrix given alone iterates on Python floats, not on a 1-row batch
-        assert [type(start) for start in looped] == ([] if inside else [float])
-    looped.clear()
-    rotation_numbers(_random(239, 5), 7)
     assert looped == []
 
 
@@ -173,3 +187,44 @@ def test_total_within_one_turn_of_n_rho(x, log_y, theta, n):
     est = rotation_number(MoebiusOnRP1(m), n)
     assert est.iterations == n and est.error_bound == 2.0 / n
     assert circ_dist(est.value, theta) <= est.error_bound
+
+
+def _parabolic(p, q, s):
+    """I + s v w^T for v = (p, q) and w = (-q, p): a translation conjugated
+    to fix the line of v.  Small integers and a dyadic s keep every entry
+    exact, so trace 2 and determinant 1 hold in floats too; a translation
+    conjugated in floats can round to a trace below 2, and near |trace| = 2
+    a rounding of one ulp moves the rotation number by about 1e-8."""
+    return (1.0 - s * p * q, s * p * p, -s * q * q, 1.0 + s * p * q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["translation", "dilation", "hyperbolic band", "elliptic band"]),
+    v=st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(any),
+    size=st.integers(-64, 64).map(lambda k: k / 16.0).filter(bool),
+    g=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(1, 10**9) | st.sampled_from([10**9 - 1, 10**9]),
+)
+def test_estimates_near_and_past_the_band(kind, v, size, g, sign, n):
+    a, b, c = g
+    assume(2.0 * a - b * c > 0.1)
+    rho = 0.0
+    if kind == "translation":
+        row = _parabolic(*v, size)
+    else:
+        if kind == "dilation":
+            core = MoebiusReal.dilation(size)
+        elif kind == "hyperbolic band":
+            core = MoebiusReal(2.0 + 1e-9, -1.0, 1.0, 0.0)
+        else:
+            phi = math.acos(1.0 - 0.5e-9)  # trace 2 - 1e-9
+            core, rho = MoebiusReal.rotation(phi), phi / math.pi
+        row = core.conjugate_by(MoebiusReal(a, b, c, 2.0)).entries()
+    row = tuple(sign * x for x in row)  # -I acts on RP^1 as I does
+    (total,) = _kernels.moebius_lift_totals([row], n)
+    assert circ_dist(total / n % 1.0, rho) <= 2.0 / n
+    est = rotation_number(MoebiusOnRP1(MoebiusReal(*row)), n)
+    assert est.iterations == n and est.error_bound == 2.0 / n
+    assert circ_dist(est.value, rho) <= est.error_bound
