@@ -340,33 +340,6 @@ class DenjoyLayout:
         return scale * x + acc
 
 
-def _reduce_word(word: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    out: list[tuple[int, int]] = []
-    for let in word:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
-
-
-def _word_ball(n_gens: int, depth: int) -> list[tuple[tuple[int, int], ...]]:
-    """Reduced words of length <= depth in breadth-first (then lexicographic) order."""
-    ball: list[tuple[tuple[int, int], ...]] = [()]
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    letters = [(i, s) for i in range(n_gens) for s in (1, -1)]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for let in letters:
-                if w and w[0] == (let[0], -let[1]):
-                    continue
-                nxt.append((let,) + w)
-        frontier = nxt
-        ball.extend(frontier)
-    return ball
-
-
 def default_gap_weights(count: int, scale: float = 0.5) -> list[float]:
     """scale / ((k+1)(k+2)); sums below ``scale`` for any count."""
     return [scale / ((k + 1) * (k + 2)) for k in range(count)]
@@ -402,64 +375,72 @@ def denjoy_layout(
 
 
 def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
+    # The reduced words of length <= depth are indexed breadth-first, then by
+    # parent index and letter (letter 2i is generator i, 2i+1 its inverse):
+    # word k is letter first[k] times an earlier word.  A reduced word can
+    # only cancel against the letter put in front of it, so generator i times
+    # word k is that earlier word when first[k] = 2i+1, and otherwise the
+    # child of k by letter 2i if k is shorter than depth: target[k][i], -1
+    # when outside the ball.  Word tuples are built once, for the entries.
     if depth < 1:
         raise ValueError("depth must be at least 1")
     gens = [m if isinstance(m, MoebiusOnRP1) else MoebiusOnRP1(m) for m in generators]
     if not gens:
         return DenjoyLayout(entries=(), total_weight=0.0, maps=())
     seed = orbit_seed % 1.0
-    ball = _word_ball(len(gens), depth)
-
-    inv_gens = [g.inverse() for g in gens]
-    points: dict[tuple, float] = {}
-    for w in ball:  # BFS order: the suffix w[1:] is always already computed
-        if not w:
-            points[w] = seed
-            continue
-        idx, sign = w[0]
-        prev = points[w[1:]]
-        points[w] = gens[idx](prev) if sign > 0 else inv_gens[idx](prev)
-    for w, t in points.items():
-        if w and circ_dist(t, seed) <= 1e-9:
+    n = len(gens)
+    acts = [f for g in gens for f in (g, g.inverse())]
+    letters = [(i, s) for i in range(n) for s in (1, -1)]
+    words, first, points, target = [()], [-1], [seed], [[-1] * n]
+    p = 0
+    while p < len(words) and len(words[p]) < depth:  # children come out breadth-first
+        for a in range(2 * n):
+            if a == first[p] ^ 1:
+                continue
+            k = len(words)
+            words.append((letters[a],) + words[p])
+            first.append(a)
+            points.append(acts[a](points[p]))
+            target.append([-1] * n)
+            if a % 2:
+                target[k][a // 2] = p
+            else:
+                target[p][a // 2] = k
+        p += 1
+    for w, t in zip(words[1:], points[1:]):
+        if circ_dist(t, seed) <= 1e-9:
             raise StabilizerNotTrivial(f"word of length {len(w)} fixes the seed within 1e-9")
-    positions = sorted(points.values())
-    for u, v in zip(positions, positions[1:]):
-        if v - u <= 1e-12:
+    order = sorted(range(len(points)), key=points.__getitem__)
+    for u, v in zip(order, order[1:]):
+        if points[v] - points[u] <= 1e-12:
             raise StabilizerNotTrivial("distinct ball words collide at the seed orbit")
 
     if gap_weights is None:
-        weights = default_gap_weights(len(ball))
+        weights = default_gap_weights(len(points))
     elif isinstance(gap_weights, (int, float)):
-        weights = default_gap_weights(len(ball), float(gap_weights))
+        weights = default_gap_weights(len(points), float(gap_weights))
     else:
-        weights = [float(w) for w in gap_weights[: len(ball)]]
-        if len(weights) < len(ball) or any(w <= 0 for w in weights):
-            raise ValueError(f"need {len(ball)} positive gap weights")
+        weights = [float(w) for w in gap_weights[: len(points)]]
+        if len(weights) < len(points) or any(w <= 0 for w in weights):
+            raise ValueError(f"need {len(points)} positive gap weights")
     total = sum(weights)
     if total >= 1.0:
         raise GapBudgetExceeded(f"gap weights sum to {total} >= 1")
     scale = 1.0 - total
 
-    weight_of = {w: weights[k] for k, w in enumerate(ball)}
-    order = sorted(ball, key=lambda w: points[w])
     entries = []
+    gaps = [(0.0, 0.0)] * len(points)
     acc = 0.0
-    for w in order:
-        lo = scale * points[w] + acc
-        entries.append(OrbitEntry(word=w, position=points[w], weight=weight_of[w], gap=(lo, lo + weight_of[w])))
-        acc += weight_of[w]
-    gap_of = {e.word: e for e in entries}
+    for k in order:
+        lo = scale * points[k] + acc
+        gaps[k] = (lo, lo + weights[k])
+        entries.append(OrbitEntry(word=words[k], position=points[k], weight=weights[k], gap=gaps[k]))
+        acc += weights[k]
 
     out_maps = []
-    for gi in range(len(gens)):
-        constraints = []
-        for e in entries:
-            target = _reduce_word(((gi, 1),) + e.word)
-            if target in gap_of:
-                tgap = gap_of[target].gap
-                constraints.append((e.gap[0], tgap[0]))
-                constraints.append((e.gap[1], tgap[1]))
-        constraints.sort()
+    for i in range(n):
+        # each gap pair carried by generator i pins both ends of the gap
+        constraints = sorted(c for k, ts in enumerate(target) if ts[i] >= 0 for c in zip(gaps[k], gaps[ts[i]]))
         xs = [u for u, _ in constraints]
         ys: list[float] = []
         for _, v in constraints:
@@ -468,8 +449,6 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
             else:
                 # smallest lift of the circle value strictly above the last one
                 ys.append(v + math.ceil(ys[-1] - v + 1e-15))
-        if not xs:
-            raise ValueError("depth too small: no gap pair stays inside the ball")
         if not ys[-1] < ys[0] + 1.0:
             raise NotMonotone("blow-up constraints wind more than once")
         out_maps.append(PiecewiseLinear(xs, ys))

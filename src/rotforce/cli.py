@@ -225,7 +225,10 @@ def _cmd_quat(args) -> None:
     }
     for name, x in sorted(spec.elements.items()):
         tr, nm = quatalg.quat_trace_norm(alg, x)
-        entry = {"trace": str(tr), "norm": str(nm)}
+        try:
+            entry = {"trace": str(tr), "norm": str(nm)}
+        except ValueError:  # an integer past the interpreter's digit limit for str
+            raise ValueError(f"element {name!r}: its exact trace or norm has too many digits to print") from None
         if admissible:
             entry["trace_embedding"] = float(np.trace(quatalg.embed_unramified(alg, x)))
             try:

@@ -86,8 +86,8 @@ class MoebiusReal:
 
     def __post_init__(self):
         det = float(self.a) * float(self.d) - float(self.b) * float(self.c)
-        if not det > 0:
-            raise ValueError(f"requires positive determinant, got {det!r}")
+        if not 0 < det < math.inf:  # an infinite entry makes it inf or nan
+            raise ValueError(f"requires a finite positive determinant, got {det!r}")
         s = math.sqrt(det)
         a, b, c, d = _signed((float(self.a) / s, float(self.b) / s, float(self.c) / s, float(self.d) / s))
         object.__setattr__(self, "a", a)

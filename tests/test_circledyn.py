@@ -8,9 +8,11 @@ import pytest
 
 from rotforce.circledyn import (
     CircleMap,
+    DenjoyLayout,
     GapBudgetExceeded,
     MoebiusOnRP1,
     NotMonotone,
+    OrbitEntry,
     PiecewiseLinear,
     StabilizerNotTrivial,
     Word,
@@ -24,7 +26,7 @@ from rotforce.circledyn import (
     rotation_number,
     rotation_numbers,
 )
-from rotforce.moebius import HPoint, MoebiusReal, elliptic_rotation_number, rotation_about
+from rotforce.moebius import HPoint, MoebiusReal, elliptic_rotation_number, rotation_about, triangle_group_rep
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -306,3 +308,164 @@ def test_blowup_gap_budget_enforced():
 def test_blowup_rejects_bad_depth():
     with pytest.raises(ValueError):
         denjoy_blowup([_golden_generator()], 0.1, depth=0)
+
+
+# The former word-tuple builder, kept as an oracle: words reduced by a stack,
+# orbit points, weights and gaps in dicts keyed by word tuples.
+
+
+def _ref_reduce_word(word):
+    out = []
+    for let in word:
+        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
+            out.pop()
+        else:
+            out.append(let)
+    return tuple(out)
+
+
+def _ref_word_ball(n_gens, depth):
+    ball = [()]
+    frontier = [()]
+    letters = [(i, s) for i in range(n_gens) for s in (1, -1)]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            for let in letters:
+                if w and w[0] == (let[0], -let[1]):
+                    continue
+                nxt.append((let,) + w)
+        frontier = nxt
+        ball.extend(frontier)
+    return ball
+
+
+def _ref_denjoy_build(generators, orbit_seed, gap_weights, depth):
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    gens = [m if isinstance(m, MoebiusOnRP1) else MoebiusOnRP1(m) for m in generators]
+    if not gens:
+        return DenjoyLayout(entries=(), total_weight=0.0, maps=())
+    seed = orbit_seed % 1.0
+    ball = _ref_word_ball(len(gens), depth)
+
+    inv_gens = [g.inverse() for g in gens]
+    points = {}
+    for w in ball:
+        if not w:
+            points[w] = seed
+            continue
+        idx, sign = w[0]
+        prev = points[w[1:]]
+        points[w] = gens[idx](prev) if sign > 0 else inv_gens[idx](prev)
+    for w, t in points.items():
+        if w and circ_dist(t, seed) <= 1e-9:
+            raise StabilizerNotTrivial(f"word of length {len(w)} fixes the seed within 1e-9")
+    positions = sorted(points.values())
+    for u, v in zip(positions, positions[1:]):
+        if v - u <= 1e-12:
+            raise StabilizerNotTrivial("distinct ball words collide at the seed orbit")
+
+    if gap_weights is None:
+        weights = default_gap_weights(len(ball))
+    elif isinstance(gap_weights, (int, float)):
+        weights = default_gap_weights(len(ball), float(gap_weights))
+    else:
+        weights = [float(w) for w in gap_weights[: len(ball)]]
+        if len(weights) < len(ball) or any(w <= 0 for w in weights):
+            raise ValueError(f"need {len(ball)} positive gap weights")
+    total = sum(weights)
+    if total >= 1.0:
+        raise GapBudgetExceeded(f"gap weights sum to {total} >= 1")
+    scale = 1.0 - total
+
+    weight_of = {w: weights[k] for k, w in enumerate(ball)}
+    order = sorted(ball, key=lambda w: points[w])
+    entries = []
+    acc = 0.0
+    for w in order:
+        lo = scale * points[w] + acc
+        entries.append(OrbitEntry(word=w, position=points[w], weight=weight_of[w], gap=(lo, lo + weight_of[w])))
+        acc += weight_of[w]
+    gap_of = {e.word: e for e in entries}
+
+    out_maps = []
+    for gi in range(len(gens)):
+        constraints = []
+        for e in entries:
+            target = _ref_reduce_word(((gi, 1),) + e.word)
+            if target in gap_of:
+                tgap = gap_of[target].gap
+                constraints.append((e.gap[0], tgap[0]))
+                constraints.append((e.gap[1], tgap[1]))
+        constraints.sort()
+        xs = [u for u, _ in constraints]
+        ys = []
+        for _, v in constraints:
+            if not ys:
+                ys.append(v)
+            else:
+                ys.append(v + math.ceil(ys[-1] - v + 1e-15))
+        if not xs:
+            raise ValueError("depth too small: no gap pair stays inside the ball")
+        if not ys[-1] < ys[0] + 1.0:
+            raise NotMonotone("blow-up constraints wind more than once")
+        out_maps.append(PiecewiseLinear(xs, ys))
+    return DenjoyLayout(entries=tuple(entries), total_weight=total, maps=tuple(out_maps))
+
+
+def _two_generators():
+    return [rotation_about(HPoint(0.3, 1.2), 1.0 / math.sqrt(2.0)), MoebiusReal.dilation(0.8)]
+
+
+def _ball_size(n_gens, depth):
+    return 1 + sum(2 * n_gens * (2 * n_gens - 1) ** (k - 1) for k in range(1, depth + 1))
+
+
+_DIFFERENTIAL_CASES = [([_golden_generator()], 0.1, None, d) for d in (1, 2, 5, 60, 200)] + [
+    (_two_generators(), 0.05, w, d)
+    for d in (1, 2, 3, 4)
+    for w in (None, 0.3, list(np.random.default_rng(d).uniform(1e-5, 1e-4, _ball_size(2, d))))
+]
+
+
+@pytest.mark.parametrize("gens, seed, weights, depth", _DIFFERENTIAL_CASES)
+def test_denjoy_build_matches_word_tuple_oracle(gens, seed, weights, depth):
+    got = denjoy_layout(gens, seed, weights, depth)
+    want = _ref_denjoy_build(gens, seed, weights, depth)
+    assert got.entries == want.entries
+    assert got.total_weight == want.total_weight
+    assert len(got.maps) == len(want.maps) == len(gens)
+    for f, g in zip(got.maps, want.maps):
+        assert np.array_equal(f.xs, g.xs) and np.array_equal(f.ys, g.ys)
+    blown = denjoy_blowup(gens, seed, weights, depth)
+    assert all(np.array_equal(f.xs, g.xs) and np.array_equal(f.ys, g.ys) for f, g in zip(blown, got.maps))
+
+
+@pytest.mark.parametrize(
+    "gens, seed, weights, depth, exc",
+    [
+        (list(triangle_group_rep(2, 3, 7)[:2]), 0.1, None, 7, StabilizerNotTrivial),
+        ([_golden_generator(), _golden_generator()], 0.1, None, 1, StabilizerNotTrivial),
+        ([_golden_generator()], 0.1, [0.5, 0.5, 0.2], 1, GapBudgetExceeded),
+        ([_golden_generator()], 0.1, [0.1, 0.1], 1, ValueError),
+        ([_golden_generator()], 0.1, [0.1, -0.1, 0.1], 1, ValueError),
+        ([_golden_generator()], 0.1, None, 0, ValueError),
+    ],
+)
+def test_denjoy_build_errors_match_word_tuple_oracle(gens, seed, weights, depth, exc):
+    with pytest.raises(exc) as want:
+        _ref_denjoy_build(gens, seed, weights, depth)
+    with pytest.raises(exc) as got:
+        denjoy_layout(gens, seed, weights, depth)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_denjoy_every_depth_carries_each_generator():
+    # The empty word and each generator's image are in every ball, so each
+    # blown-up generator has at least one gap pair: the former "depth too
+    # small" error could not be raised for any depth >= 1.
+    for gens in ([_golden_generator()], _two_generators()):
+        for f in denjoy_blowup(gens, 0.05, depth=1):
+            assert len(f.xs) >= 2

@@ -94,6 +94,27 @@ def test_rotnum_rejects_non_finite_breakpoints(tmp_path, capsys, xs, ys, message
     assert err.splitlines() == [f"error: piecewise-linear map: {message}"]
 
 
+@pytest.mark.parametrize(
+    "matrix,det",
+    [
+        ("[[Infinity, 0], [0, 1]]", "inf"),
+        ("[[1, Infinity], [0, 1]]", "nan"),
+        ("[[NaN, 0], [0, 1]]", "nan"),
+        ("[[1, 0], [0, NaN]]", "nan"),
+        ("[[1e200, 0], [0, 1e200]]", "inf"),  # finite entries, overflowing determinant
+    ],
+)
+def test_rotnum_rejects_non_finite_matrix(tmp_path, capsys, matrix, det):
+    # these once printed "rotation_number": NaN and exited 0
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"type": "moebius", "matrix": {matrix}}}')
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["rotnum", "--map", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: requires a finite positive determinant, got {det}"]
+
+
 def test_rotnum_word_map(tmp_path, capsys):
     spec = {
         "type": "word",
@@ -263,6 +284,17 @@ def test_quat_deep_nesting_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, ["quat", "analyze", str(path)])
     assert code == 1 and out == "" and err.startswith("error: element 'v': expression nested too deeply")
 
+
+
+def test_quat_oversized_exact_value_names_its_element(tmp_path, capsys):
+    # 2^(10^7) passes the interpreter's 4300-digit limit for int -> str
+    path = tmp_path / "big.txt"
+    path.write_text(QUAT_SPEC + "elem v: (((2^100)^100)^100)^10\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["quat", "analyze", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: element 'v': its exact trace or norm has too many digits to print"]
 
 
 @pytest.mark.parametrize(

@@ -570,6 +570,65 @@ def test_r6_never_lists_tuples(monkeypatch):
     assert [e.rule for e in r.certificate.entries] == ["R6"]
 
 
+def _pair_loop_projections(ob, state):
+    """The former R6 for every orbifold: one feasible_ns call per pair of a slot
+    value and a point of the other slots' sum, until one is feasible."""
+    slots = [forcing._multiples(p) for p in ob.sig.cone_orders]
+    for g, i in ob.cone_map:
+        slots[i] = slots[i].intersect(state[g])
+    out = {}
+    for i in {i for _, i in ob.cone_map}:
+        rest = functools.reduce(RotSet.minkowski, slots[:i] + slots[i + 1 :], RotSet.zero_only()).points
+        out[i] = [
+            v for v in slots[i].points
+            if any(eulerorb.feasible_ns(v + r, ob.degree, ob.cover_chi, ob.maximal) for r in rest)
+        ]
+    return out
+
+
+_LARGE_MAXIMAL = [
+    ("A, B, C, D", 0, (11, 13, 17, 19)),
+    ("A, B, C", 2, (31, 29, 23)),
+    ("A, B", 2, (97, 89, 83)),
+]
+
+
+def _large_maximal(gens, genus, orders):
+    maps = " ".join(f"map {g}:{k}" for k, g in enumerate(gens.split(", "), 1))
+    return f"gens {gens}\n{_orbifold(genus, orders, maps, True)}\nmark {gens}\n"
+
+
+def _maximal_texts():
+    yield from (t for t in _r6_grid() if " maximal " in t)
+    for orders, multiple in itertools.product(((5,), (7,), (12,), (2, 3), (3, 4), (2, 5)), (1, 2, 3)):
+        maps = "map A:1" if len(orders) == 1 else "map A:1 map B:2"
+        yield f"gens A, B\nrels A = B^2\n{_orbifold(1, orders, maps, True, multiple)}\nmark A, B\n"
+    for case in _LARGE_MAXIMAL[:2]:
+        yield _large_maximal(*case)
+
+
+def test_maximal_projection_matches_pair_loop(monkeypatch):
+    texts = list(_maximal_texts())
+    assert len(texts) == 60 + 18 + 2
+    new = [propagate(parse_presentation(t)).to_json() for t in texts]
+    monkeypatch.setattr(forcing, "_euler_projections", _pair_loop_projections)
+    old = [propagate(parse_presentation(t)).to_json() for t in texts]
+    for text, a, b in zip(texts, new, old):
+        assert a == b, text
+
+
+@pytest.mark.parametrize("gens, genus, orders", _LARGE_MAXIMAL)
+def test_maximal_projection_tests_two_totals(monkeypatch, gens, genus, orders):
+    # Under maximal the feasible sums are +-bound/degree mod 1, so R6 tests
+    # membership of two completions and never asks feasible_ns.
+    calls = _count_calls(monkeypatch, "feasible_ns")
+    r = propagate(parse_presentation(_large_maximal(gens, genus, orders)))
+    assert calls == []
+    for g, p in zip(gens.split(", "), orders):
+        assert r.marked[g] == RotSet.from_points([F(0), F(1, p), F(p - 1, p)])
+    assert [e.rule for e in r.certificate.entries] == ["R6"] * len(gens.split(", "))
+
+
 # ---------------------------------------------------------------------------
 # the rule list against the seven-block engine it replaced
 
