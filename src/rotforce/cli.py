@@ -230,12 +230,14 @@ def _cmd_quat(args) -> None:
         except ValueError:  # an integer past the interpreter's digit limit for str
             raise ValueError(f"element {name!r}: its exact trace or norm has too many digits to print") from None
         if admissible:
-            entry["trace_embedding"] = float(np.trace(quatalg.embed_unramified(alg, x)))
             try:
+                entry["trace_embedding"] = float(np.trace(quatalg.embed_unramified(alg, x)))
                 entry["rotation_number"] = quatalg.arithmetic_rotation_number(alg, x).value
             except (quatalg.NotNormOne, moebius.NotElliptic) as exc:
                 entry["rotation_number"] = None
                 entry["reason"] = type(exc).__name__
+            except OverflowError:
+                raise ValueError(f"element {name!r}: its value at the unramified place is past float range") from None
         out["elements"][name] = entry
     if admissible and args.samples:
         rng = np.random.default_rng(args.seed)

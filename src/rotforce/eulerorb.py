@@ -66,7 +66,7 @@ def check_manifold_cover(sig: OrbifoldSig, degree: int, chi: int) -> None:
 
     A degree-d cover has Euler characteristic d * chi^orb(sig)
     (Riemann-Hurwitz), and it is a manifold only if every cone order
-    divides d.
+    divides d; a closed orientable surface has even characteristic at most 2.
     """
     if degree < 1:
         raise ValueError("cover degree must be positive")
@@ -79,6 +79,7 @@ def check_manifold_cover(sig: OrbifoldSig, degree: int, chi: int) -> None:
     for p in sig.cone_orders:
         if degree % p:
             raise ValueError(f"cone order {p} does not divide the cover degree {degree}")
+    milnor_wood_bound(chi)  # and the cover is a closed orientable surface
 
 
 def euler_number(n: int, rots: Sequence[Fraction]) -> Fraction:
@@ -102,6 +103,14 @@ def milnor_wood_bound(chi: int) -> int:
     return max(0, -chi)
 
 
+def lifted_euler_ranges(chi: int, maximal: bool = False) -> tuple[tuple[int, int], ...]:
+    """The Euler numbers a flat circle bundle over a closed orientable surface
+    of characteristic ``chi`` may carry, as closed integer ranges (lo, hi) in
+    increasing order: the Milnor-Wood interval, or under ``maximal`` its ends."""
+    bound = milnor_wood_bound(chi)
+    return ((-bound, -bound), (bound, bound)) if maximal and bound else ((-bound, bound),)
+
+
 @dataclass(frozen=True, order=True)
 class ConeRotTuple:
     """One feasible (integer part, cone rotation numbers) combination."""
@@ -119,20 +128,18 @@ class ConeRotTuple:
 
 
 def feasible_ns(total: Fraction, degree: int, chi: int, maximal: bool = False) -> Sequence[int]:
-    """The integer parts n for which cone rotation numbers summing to ``total``
-    are feasible: the lifted Euler number degree*n - s, s = degree*total, is an
-    integer within the Milnor-Wood bound for ``chi`` (at it, when ``maximal``).
-    So s is an integer and n fills an interval (or its two ends).  Whether any
+    """The increasing integer parts n for which cone rotation numbers summing to
+    ``total`` are feasible: degree*n - degree*total is an integer in one of the
+    :func:`lifted_euler_ranges`, so n fills one interval per range.  Whether any
     n works depends on ``total`` mod 1 alone; adding 1 to it adds 1 to each n."""
     if degree < 1:
         raise ValueError("cover degree must be positive")
-    bound, s = milnor_wood_bound(chi), degree * total
+    s = degree * total
     if s.denominator != 1:
         return ()
     s = s.numerator
-    if maximal:
-        return sorted({(s + e) // degree for e in (-bound, bound) if (s + e) % degree == 0})
-    return range(-((bound - s) // degree), (s + bound) // degree + 1)
+    ranges = lifted_euler_ranges(chi, maximal)
+    return [n for lo, hi in ranges for n in range(-((-s - lo) // degree), (s + hi) // degree + 1)]
 
 
 def feasible_tuples(
@@ -165,10 +172,11 @@ def feasible_tuples(
         raise BudgetExceeded(f"{free} free cone slots; pin at least {free - 3} of them")
 
     slots = [[pins[i]] if i in pins else [Fraction(k, p) for k in range(p)] for i, p in enumerate(sig.cone_orders)]
-    out = set()
-    for rots in itertools.product(*slots):
-        ns = feasible_ns(sum(rots, Fraction(0)), degree, chi, maximal)
-        out.update(ConeRotTuple(n=n, rots=rots) for n in ns)
+    by_n: dict[int, list[ConeRotTuple]] = {}
+    for rots in itertools.product(*slots):  # lexicographic, so each bucket is sorted
+        for n in feasible_ns(sum(rots, Fraction(0)), degree, chi, maximal):
+            by_n.setdefault(n, []).append(ConeRotTuple(n=n, rots=rots))
+    out = [t for n in sorted(by_n) for t in by_n[n]]
     if pins:  # the mirror negates the Euler number, so only a pin can break mirror closure
-        out |= {t.mirrored() for t in out}
-    return sorted(out)
+        return sorted(set(out) | {t.mirrored() for t in out})
+    return out

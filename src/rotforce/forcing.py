@@ -18,6 +18,7 @@ whose marked generator is forced into {0} plus/minus a requested arc.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import re
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import circledyn
 from .circledyn import CircleMap, circ_dist
-from .eulerorb import OrbifoldSig, check_manifold_cover, feasible_ns, milnor_wood_bound
+from .eulerorb import OrbifoldSig, check_manifold_cover, lifted_euler_ranges
 from .rotarith import domain_interval
 from .rotset import RotSet, _fmt, rotset_intersect, rotset_symmetrize, rotset_union
 
@@ -567,29 +568,28 @@ def _euler_projections(ob: OrbifoldData, state: Mapping[str, RotSet]) -> dict[in
     """Per mapped cone slot, its values that some completion of the other slots
     makes Euler-feasible; slot i ranges over the multiples of 1/p_i in the sets
     of the generators mapped to it.  Feasibility reads the rotation sum only
-    mod 1, so a completion is a point of the sum of the other slots' sets.
-    Under ``maximal`` two completions are looked up per value; otherwise the
-    first feasible completion ends the search."""
+    mod 1, so a completion is a point r of the sum of the other slots' sets.
+    Every cone order divides the degree d (the parser checks the cover), so
+    y = d*r is an integer, and v + r is feasible when some e = -y - d*v mod d
+    lies in a Milnor-Wood range [lo, hi]: one bisection of the sorted ys per range."""
     slots = [_multiples(p) for p in ob.sig.cone_orders]
     for g, i in ob.cone_map:
         slots[i] = slots[i].intersect(state[g])
     d = ob.degree
+    ranges = lifted_euler_ranges(ob.cover_chi, ob.maximal)
+
+    def meets(ys: list[int], start: int, width: int) -> bool:  # ys holds d, above every start
+        return ys[bisect.bisect_left(ys, start)] <= start + width
+
     out = {}
     for i in {i for _, i in ob.cone_map}:
         rest = functools.reduce(RotSet.minkowski, slots[:i] + slots[i + 1 :], RotSet.zero_only()).points
-        if ob.maximal:
-            # Every cone order divides the degree (the parser checks the cover),
-            # so d*v and d*r are integers, and v + r is feasible exactly when
-            # d*(v + r) = +-bound mod d.
-            bound = milnor_wood_bound(ob.cover_chi)
-            ys = {r.numerator * d // r.denominator for r in rest}
-            out[i] = [
-                v for v in slots[i].points
-                if (bound - v.numerator * d // v.denominator) % d in ys
-                or (-bound - v.numerator * d // v.denominator) % d in ys
-            ]
-        else:
-            out[i] = [v for v in slots[i].points if any(feasible_ns(v + r, d, ob.cover_chi) for r in rest)]
+        ys = [r.numerator * d // r.denominator for r in rest]  # sorted, as the points are, from 0
+        ys += [y + d for y in ys]  # a second turn, so that every cyclic run is one slice
+        out[i] = [
+            v for v in slots[i].points
+            if any(meets(ys, (-hi - v.numerator * d // v.denominator) % d, hi - lo) for lo, hi in ranges)
+        ]
     return out
 
 

@@ -297,6 +297,17 @@ def test_quat_oversized_exact_value_names_its_element(tmp_path, capsys):
     assert err.splitlines() == ["error: element 'v': its exact trace or norm has too many digits to print"]
 
 
+def test_quat_value_past_float_range_names_its_element(tmp_path, capsys):
+    # a 361-digit trace prints exactly, but its value at the unramified place is no float
+    path = tmp_path / "big.txt"
+    path.write_text(QUAT_SPEC + "elem v: ((2^100)^12)\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["quat", "analyze", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: element 'v': its value at the unramified place is past float range"]
+
+
 @pytest.mark.parametrize(
     "spec,prefix",
     [
@@ -368,6 +379,18 @@ def test_force_output_is_byte_stable(tmp_path, capsys):
     _, out2, _ = run(capsys, ["force", str(path)])
     assert out1 == out2
     assert out1.endswith("\n")
+
+
+def test_force_rejects_cover_no_closed_surface_has(tmp_path, capsys):
+    # 2 * chi^orb(0;2) = 3 passes Riemann-Hurwitz, but no closed orientable
+    # surface has an odd characteristic: the parser says so at its statement
+    path = tmp_path / "pres.txt"
+    path.write_text("gens A; orbifold sig=0;2 degree=2 coverchi=3 maximal map A:1; mark A\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["force", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: statement 2: 3 is not the Euler characteristic of a closed orientable surface"]
 
 
 @pytest.mark.parametrize(

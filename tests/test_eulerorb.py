@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from rotforce.eulerorb import (
     euler_number,
     feasible_ns,
     feasible_tuples,
+    check_manifold_cover,
     lift_euler,
+    lifted_euler_ranges,
     milnor_wood_bound,
     orbifold_euler_char,
 )
@@ -170,6 +173,84 @@ def test_closed_form_matches_window_search(genus):
             fixed = None if pin is None else {0: pin}
             got = feasible_tuples(sig, degree, chi, fixed=fixed, maximal=maximal)
             assert got == _window_search(orders, degree, chi, pin, maximal), (sig, degree, chi, pin, maximal)
+
+
+# ---------------------------------------------------------------------------
+# the Milnor-Wood ranges, and the bucketed listing against the former sorted set
+
+
+def test_lifted_euler_ranges():
+    assert lifted_euler_ranges(-4) == ((-4, 4),)
+    assert lifted_euler_ranges(-4, maximal=True) == ((-4, -4), (4, 4))
+    for chi in (0, 2):  # bound 0: the two ends are one
+        assert lifted_euler_ranges(chi) == lifted_euler_ranges(chi, maximal=True) == ((0, 0),)
+    for chi in (-3, 4):
+        with pytest.raises(ValueError, match=f"^{chi} is not the Euler characteristic"):
+            lifted_euler_ranges(chi)
+
+
+@pytest.mark.parametrize("sig, degree, chi", [("0;2", 2, 3), ("0", 2, 4), ("0;3,3", 6, 4)])
+def test_check_manifold_cover_wants_a_closed_surface(sig, degree, chi):
+    # Riemann-Hurwitz holds for each, but no closed orientable surface has
+    # an odd characteristic or one above 2
+    sig = OrbifoldSig.parse(sig)
+    with pytest.raises(ValueError, match=f"^{chi} is not the Euler characteristic"):
+        check_manifold_cover(sig, degree, chi)
+
+
+def _former_feasible_ns(total, degree, chi, maximal):
+    bound, s = milnor_wood_bound(chi), degree * total
+    if s.denominator != 1:
+        return ()
+    s = s.numerator
+    if maximal:
+        return sorted({(s + e) // degree for e in (-bound, bound) if (s + e) % degree == 0})
+    return range(-((bound - s) // degree), (s + bound) // degree + 1)
+
+
+def _former_listing(sig, degree, chi, fixed, maximal):
+    """The former feasible_tuples: every tuple into one set, closed under the
+    mirror when pinned, then sorted."""
+    pins = {i: Fraction(v) % 1 for i, v in (fixed or {}).items()}
+    slots = [[pins[i]] if i in pins else [Fraction(k, p) for k in range(p)] for i, p in enumerate(sig.cone_orders)]
+    out = set()
+    for rots in itertools.product(*slots):
+        ns = _former_feasible_ns(sum(rots, Fraction(0)), degree, chi, maximal)
+        out.update(ConeRotTuple(n=n, rots=rots) for n in ns)
+    if pins:
+        out |= {t.mirrored() for t in out}
+    return sorted(out)
+
+
+@st.composite
+def _listing_inputs(draw):
+    orders = draw(st.lists(st.integers(2, 12), max_size=3))
+    sig = OrbifoldSig(draw(st.integers(0, 2)), tuple(orders))
+    pinned = draw(st.sets(st.integers(0, len(orders) - 1), max_size=len(orders))) if orders else set()
+    fixed = {i: Fraction(draw(st.integers(0, orders[i] - 1)), orders[i]) for i in pinned}
+    degree = draw(st.integers(1, 120))
+    chi = 2 - 2 * draw(st.integers(0, 60))
+    return sig, degree, chi, fixed or None, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_listing_inputs())
+def test_listing_matches_former_sorted_set(case):
+    # order included: the buckets by n of the lexicographic walk are the sorted set
+    assert feasible_tuples(*case[:3], fixed=case[3], maximal=case[4]) == _former_listing(*case)
+
+
+def test_listing_matches_former_sorted_set_on_covers():
+    for (genus, orders), maximal in itertools.product(
+        [(0, (2, 3, 7)), (0, (7, 11, 13)), (1, (5,)), (1, (2, 3)), (2, (3, 4)), (2, ())], (False, True)
+    ):
+        sig = OrbifoldSig(genus, orders)
+        degree = math.lcm(1, *orders) * 2
+        chi = int(degree * orbifold_euler_char(sig))
+        for fixed in (None, {0: Fraction(1, orders[0])} if orders else None):
+            expected = _former_listing(sig, degree, chi, fixed, maximal)
+            assert feasible_tuples(sig, degree, chi, fixed=fixed, maximal=maximal) == expected
+            assert expected or maximal
 
 
 # ---------------------------------------------------------------------------

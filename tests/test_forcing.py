@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotforce import eulerorb, forcing
 from rotforce.forcing import (
@@ -163,6 +165,16 @@ def test_parse_orbifold_rejects_impossible_cover():
         with pytest.raises(PresentationSyntaxError) as ei:
             parse_presentation(f"gens A\norbifold {data} map A:1")
         assert "statement 2" in str(ei.value) and message in str(ei.value)
+
+
+@pytest.mark.parametrize("data", ["sig=0;2 degree=2 coverchi=3 maximal map A:1", "sig=0 degree=2 coverchi=4"])
+def test_parse_orbifold_rejects_cover_no_closed_surface_has(data):
+    # the cover data agree with Riemann-Hurwitz, but no closed orientable
+    # surface has an odd characteristic or one above 2
+    with pytest.raises(PresentationSyntaxError) as ei:
+        parse_presentation(f"gens A\norbifold {data}\nmark A")
+    chi = data.split("coverchi=")[1].split()[0]
+    assert str(ei.value) == f"statement 2: {chi} is not the Euler characteristic of a closed orientable surface"
 
 
 def test_parse_orbifold_without_cone_points_round_trips():
@@ -619,14 +631,93 @@ def test_maximal_projection_matches_pair_loop(monkeypatch):
 
 @pytest.mark.parametrize("gens, genus, orders", _LARGE_MAXIMAL)
 def test_maximal_projection_tests_two_totals(monkeypatch, gens, genus, orders):
-    # Under maximal the feasible sums are +-bound/degree mod 1, so R6 tests
-    # membership of two completions and never asks feasible_ns.
-    calls = _count_calls(monkeypatch, "feasible_ns")
-    r = propagate(parse_presentation(_large_maximal(gens, genus, orders)))
-    assert calls == []
-    for g, p in zip(gens.split(", "), orders):
-        assert r.marked[g] == RotSet.from_points([F(0), F(1, p), F(p - 1, p)])
-    assert [e.rule for e in r.certificate.entries] == ["R6"] * len(gens.split(", "))
+    # The feasible sums are the Milnor-Wood ranges mod 1, two points under
+    # maximal and one run otherwise; R6 bisects the other slots' sum for them
+    # and never asks feasible_ns, with or without maximal.
+    assert "feasible_ns" not in vars(forcing) and "milnor_wood_bound" not in vars(forcing)
+    calls = []
+    feasible_ns = eulerorb.feasible_ns
+    monkeypatch.setattr(eulerorb, "feasible_ns", lambda *args: calls.append(args) or feasible_ns(*args))
+    for maximal in (True, False):
+        text = _large_maximal(gens, genus, orders)
+        r = propagate(parse_presentation(text if maximal else text.replace(" maximal", "")))
+        assert calls == []
+        for g, p in zip(gens.split(", "), orders):
+            expected = [F(0), F(1, p), F(p - 1, p)] if maximal else [F(k, p) for k in range(p)]
+            assert r.marked[g] == RotSet.from_points(expected)
+        assert [e.rule for e in r.certificate.entries] == ["R6"] * len(gens.split(", "))
+
+
+def _two_branch_projections(ob, state):
+    """The former R6: under maximal, the membership of two completions in a
+    set of integers; otherwise one feasible_ns call per pair of a slot value
+    and a point of the other slots' sum, until one is feasible."""
+    slots = [forcing._multiples(p) for p in ob.sig.cone_orders]
+    for g, i in ob.cone_map:
+        slots[i] = slots[i].intersect(state[g])
+    d = ob.degree
+    out = {}
+    for i in {i for _, i in ob.cone_map}:
+        rest = functools.reduce(RotSet.minkowski, slots[:i] + slots[i + 1 :], RotSet.zero_only()).points
+        if ob.maximal:
+            bound = eulerorb.milnor_wood_bound(ob.cover_chi)
+            ys = {r.numerator * d // r.denominator for r in rest}
+            out[i] = [
+                v for v in slots[i].points
+                if (bound - v.numerator * d // v.denominator) % d in ys
+                or (-bound - v.numerator * d // v.denominator) % d in ys
+            ]
+        else:
+            out[i] = [v for v in slots[i].points if any(eulerorb.feasible_ns(v + r, d, ob.cover_chi) for r in rest)]
+    return out
+
+
+def test_projection_matches_two_branch_oracle(monkeypatch):
+    texts = list(dict.fromkeys(itertools.chain(
+        _r6_grid(),
+        _maximal_texts(),
+        (_large_maximal(*case).replace(" maximal", "") for case in _LARGE_MAXIMAL),
+    )))
+    # 121 grid texts, and beyond them 18 genus-one and 2 + 3 large covers;
+    # _cover's doubled degrees repeat 4 of the genus-one ones
+    assert len(texts) == 121 + 18 - 4 + 2 + 3
+    new = [json.dumps(propagate(parse_presentation(t)).to_json()) for t in texts]
+    monkeypatch.setattr(forcing, "_euler_projections", _two_branch_projections)
+    old = [json.dumps(propagate(parse_presentation(t)).to_json()) for t in texts]
+    for text, a, b in zip(texts, new, old):
+        assert a == b, text
+
+
+def _negation_closed_subsets(p):
+    """Small subsets of the multiples of 1/p that hold 0 and are closed under
+    v -> 1 - v; sparse sums put a feasible total at the end of a run."""
+    return st.sets(st.integers(1, p // 2), max_size=2).map(
+        lambda ks: RotSet.from_points([F(0)] + [F(k, p) for k in ks] + [F(p - k, p) for k in ks])
+    )
+
+
+@st.composite
+def _orbifold_states(draw):
+    genus = draw(st.integers(0, 2))
+    orders = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 12)), min_size=1 if genus else 2, max_size=3))
+    degree, chi = _cover(genus, orders, draw(st.integers(1, 3)))
+    assume(chi <= 2)  # a cover of a spherical orbifold can be too large for a sphere
+    mapped = draw(st.sets(st.integers(0, len(orders) - 1), min_size=1))
+    ob = forcing.OrbifoldData(
+        sig=eulerorb.OrbifoldSig(genus, tuple(orders)),
+        degree=degree,
+        cover_chi=chi,
+        maximal=draw(st.booleans()),
+        cone_map=tuple((f"g{i}", i) for i in sorted(mapped)),
+    )
+    return ob, {f"g{i}": draw(_negation_closed_subsets(orders[i])) for i in mapped}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_orbifold_states())
+def test_projection_matches_pair_loop_on_random_sets(case):
+    ob, state = case
+    assert forcing._euler_projections(ob, state) == _pair_loop_projections(ob, state)
 
 
 # ---------------------------------------------------------------------------
