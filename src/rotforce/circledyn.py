@@ -41,6 +41,19 @@ def circ_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def in_arc(x: float, arc: tuple, tol: float = 0.0) -> bool:
+    """x lies on the closed arc running ccw from arc[0] to arc[1], widened by tol.
+
+    The endpoints may be lifted (any reals): both are read mod 1, and a
+    lifted span hi - lo of at least 1 is the whole circle.
+    """
+    lo, hi = float(arc[0]), float(arc[1])
+    if hi - lo >= 1.0:
+        return True
+    off = (x - lo) % 1.0
+    return off <= (hi - lo) % 1.0 + tol or off >= 1.0 - tol
+
+
 # ---------------------------------------------------------------------------
 # map kinds
 
@@ -60,14 +73,6 @@ class CircleMap:
     def as_moebius(self) -> MoebiusReal | None:
         """The underlying matrix if this map collapses to one, else None."""
         return None
-
-    def lift(self, x: float) -> float:
-        """Canonical lift (value at 0 in [0, 1)) evaluated at x."""
-        k = math.floor(x)
-        t = x - k
-        t0 = self(0.0)
-        tp = self(t)
-        return k + tp + (1.0 if tp < t0 else 0.0)
 
 
 class MoebiusOnRP1(CircleMap):
@@ -129,10 +134,6 @@ class PiecewiseLinear(CircleMap):
     @classmethod
     def rotation(cls, theta: float) -> "PiecewiseLinear":
         return cls([0.0], [theta % 1.0])
-
-    def lift(self, x: float) -> float:
-        k = math.floor(x)
-        return k + _kernels.pl_eval(self._xe, self._ye, x - k)
 
     def __call__(self, t: float) -> float:
         return _kernels.pl_eval(self._xe, self._ye, t % 1.0) % 1.0
@@ -201,7 +202,7 @@ def power(f: CircleMap, k: int) -> CircleMap:
 # monotonicity certificate
 
 
-def certify_monotone(f: CircleMap, grid: int = MONOTONE_GRID) -> None:
+def certify_monotone(f: CircleMap) -> None:
     """Check degree-one strict monotonicity on a dense grid (plus breakpoints).
 
     A circular sequence of image values is monotone of degree one exactly
@@ -213,7 +214,7 @@ def certify_monotone(f: CircleMap, grid: int = MONOTONE_GRID) -> None:
     letters = f.letters if type(f) is Word else (f,)
     if all(type(let) in (MoebiusOnRP1, PiecewiseLinear) for let in letters):
         return
-    ts = np.linspace(0.0, 1.0, grid, endpoint=False)
+    ts = np.linspace(0.0, 1.0, MONOTONE_GRID, endpoint=False)
     extra = [let.xs for let in letters if isinstance(let, PiecewiseLinear)]
     if extra:
         ts = np.unique(np.concatenate([ts] + extra))
@@ -249,7 +250,10 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
     words iterate n steps.  The reported ``error_bound`` 2/n is the
     conservative a-priori bound |(lift^n(x) - x)/n - rot(f)| < 2/n valid
     for every circle homeomorphism and every x, whichever way the
-    displacement was computed.
+    displacement was computed.  It bounds the distance to the rotation
+    number of the map as stored: a matrix whose entries were rounded near
+    |trace| = 2 is a different map, and its rotation number may differ
+    from the intended one by far more than 2/n.
     """
     if n <= 0:
         raise ValueError("iteration count must be positive")
@@ -277,19 +281,15 @@ def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstima
 
 
 def euler_cocycle(f: CircleMap, g: CircleMap) -> int:
-    """c(f, g) = lift_f(lift_g(0)) - lift_{fg}(0), always 0 or 1.
+    """c(f, g) = F(G(0)) - (FG)~(0) for canonical lifts F, G, (FG)~; 0 or 1.
 
-    With canonical lifts the value counts whether composing wraps past
-    the origin once more than the two factors do separately.
+    At y = g(0), F(y) = f(y) + 1 exactly when f(y) < f(0), or when y is
+    1.0, which is 0 reached from below; otherwise F(y) = f(y).
     """
     for h in (f, g):
         certify_monotone(h)
     y = g(0.0)
-    c = f.lift(y) - f(y)
-    ci = int(round(c))
-    if ci not in (0, 1) or abs(c - ci) > 1e-9:
-        raise ArithmeticError(f"cocycle value {c!r} escaped {{0, 1}}")
-    return ci
+    return int(y >= 1.0 or f(y) < f(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ class DenjoyLayout:
         y = y % 1.0
         scale = 1.0 - self.total_weight
         acc = 0.0
-        for e in sorted(self.entries, key=lambda e: e.position):
+        for e in self.entries:  # built in position order
             lo, hi = e.gap
             if y < lo:
                 break

@@ -98,7 +98,7 @@ def _cmd_addl(args) -> None:
     t1, t2 = _angle_arg(args.t1), _angle_arg(args.t2)
     value = rotarith.plus_l(t1, t2, args.l)
     oracle = rotarith.plus_l_oracle(t1, t2, args.l)
-    gap = abs(min(value.value, 1.0 - value.value) - min(oracle.value, 1.0 - oracle.value))
+    gap = abs(circledyn.circ_dist(value.value, 0.0) - circledyn.circ_dist(oracle.value, 0.0))
     _emit(
         {
             "value": value.value,

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import circledyn
 from .circledyn import CircleMap, circ_dist
 from .eulerorb import OrbifoldSig, check_manifold_cover, lifted_euler_ranges
-from .rotarith import domain_interval
+from .rotarith import domain_interval, wrap_diff
 from .rotset import RotSet, _fmt, rotset_intersect, rotset_symmetrize, rotset_union
 
 __all__ = [
@@ -467,6 +469,10 @@ def eval_word(w: GroupWord, assignment: Mapping[str, CircleMap]) -> CircleMap:
     return circledyn.Word(maps)
 
 
+_RELATION_GRID = 1024
+_RELATION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class RelationCheck:
     relator: str
@@ -484,24 +490,18 @@ class RelationReport:
         return all(c.passed for c in self.checks)
 
 
-def check_relations(
-    p: Presentation, assignment: Mapping[str, CircleMap], tol: float = 1e-9, grid: int = 1024
-) -> RelationReport:
-    """Max deviation of each relator (both sides compared pointwise on a grid)."""
-    import numpy as np
-
-    ts = np.arange(grid) / grid
+def check_relations(p: Presentation, assignment: Mapping[str, CircleMap]) -> RelationReport:
+    """Max circle distance between the two sides of each relator on a grid of
+    1024 points; a relator passes within 1e-9."""
+    ts = np.arange(_RELATION_GRID) / _RELATION_GRID
     checks = []
     pairs = list(p.relators) + [(GroupWord(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
     for lhs, rhs in pairs:
-        f = eval_word(lhs, assignment)
-        g = eval_word(rhs, assignment)
-        fx = f.eval_array(ts) % 1.0
-        gx = g.eval_array(ts) % 1.0
-        d = np.abs(fx - gx)
-        residual = float(np.max(np.minimum(d, 1.0 - d)))
-        checks.append(RelationCheck(relator=f"{lhs} = {rhs}", residual=residual, passed=residual <= tol))
-    return RelationReport(checks=tuple(checks), tol=tol)
+        fx = eval_word(lhs, assignment).eval_array(ts)
+        gx = eval_word(rhs, assignment).eval_array(ts)
+        residual = float(np.abs(wrap_diff(fx, gx)).max())
+        checks.append(RelationCheck(relator=f"{lhs} = {rhs}", residual=residual, passed=residual <= _RELATION_TOL))
+    return RelationReport(checks=tuple(checks), tol=_RELATION_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .circledyn import circ_dist
+from .circledyn import circ_dist, in_arc  # noqa: F401 -- circ_dist stays importable from here
 from .moebius import HPoint, IsometryClass, elliptic_rotation_number, rotation_about
 
 
@@ -180,12 +180,8 @@ class DomainInterval:
     theta: float
 
     def contains(self, tp: float, tol: float = 0.0) -> bool:
-        tp = tp % 1.0
-        if self.lo == self.hi:
-            return circ_dist(tp, self.lo) > max(tol, 1e-15)
-        span = (self.hi - self.lo) % 1.0
-        off = (tp - self.lo) % 1.0
-        return tol < off < span - tol
+        """tp is off the closed complement [hi, lo] widened by tol (by at least 1e-15 if it is a point)."""
+        return not in_arc(tp, self.complement(), max(tol, 1e-15) if self.lo == self.hi else tol)
 
     def length(self) -> float:
         if self.lo == self.hi:
@@ -219,19 +215,6 @@ def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     return DomainInterval(lo=(center + half) % 1.0, hi=(center - half) % 1.0, l=l, theta=t)
 
 
-def _in_arc(x: float, arc: tuple, tol: float = 0.0) -> bool:
-    """x lies on the closed arc running ccw from arc[0] to arc[1], widened by tol.
-
-    The endpoints may be lifted (any reals): both are read mod 1, and a
-    lifted span hi - lo of at least 1 is the whole circle.
-    """
-    lo, hi = float(arc[0]), float(arc[1])
-    if hi - lo >= 1.0:
-        return True
-    off = (x - lo) % 1.0
-    return off <= (hi - lo) % 1.0 + tol or off >= 1.0 - tol
-
-
 # ---------------------------------------------------------------------------
 # exact division
 
@@ -245,7 +228,7 @@ def divide(t: AngleLike, p: int, select: tuple) -> Angle:
         raise ValueError("divisor must be a positive integer")
     exact = _as_exact(t)
     base = exact if exact is not None else _as_float(t)
-    hits = [c for c in ((base + k) / p for k in range(p)) if _in_arc(float(c), select)]
+    hits = [c for c in ((base + k) / p for k in range(p)) if in_arc(float(c), select)]
     if len(hits) != 1:
         raise AmbiguousSelection(f"selector holds {len(hits)} of {p} candidates")
     return Angle(exact=hits[0]) if exact is not None else Angle(hits[0])
@@ -459,14 +442,14 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     # dedupe (circular, coordinatewise)
     uniq: list[np.ndarray] = []
     for r in _scan(system, grid, refine_tol):
-        if not any(max(abs(float(wrap_diff(a, b))) for a, b in zip(r, u)) < 1e-6 for u in uniq):
+        if not any(np.abs(wrap_diff(r, u)).max() < 1e-6 for u in uniq):
             if _rank_deficient(system, r):
                 raise NonDiscrete(f"residual Jacobian has rank < {d} at a root: the zero set is a curve or more")
             uniq.append(r)
     kept = [
         r
         for r in uniq
-        if all(_in_arc(float(r[i]), system.constraints[v], refine_tol)
+        if all(in_arc(float(r[i]), system.constraints[v], refine_tol)
                for i, v in enumerate(system.variables) if v in system.constraints)
     ]
     if not kept:
@@ -476,10 +459,7 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     mesh = 1.0 / grid
     roots = []
     for i, r in enumerate(kept):
-        sep = 0.5
-        for j, other in enumerate(kept):
-            if i != j:
-                sep = min(sep, max(abs(float(wrap_diff(a, b))) for a, b in zip(r, other)) / 2)
+        sep = min([0.5] + [float(np.abs(wrap_diff(r, o)).max()) / 2 for j, o in enumerate(kept) if j != i])
         radius = max(refine_tol * 10, min(sep, mesh / 2))
         center_rho = _rho(system, r)
         for _ in range(4):

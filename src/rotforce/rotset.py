@@ -27,6 +27,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
+from .circledyn import circ_dist, in_arc
+
 Endpoint = Union[Fraction, float]
 
 
@@ -189,31 +191,17 @@ class RotSet:
         return not self.intervals and all(p == 0 for p in self.points)
 
     def contains(self, x, tol: float = 0.0) -> bool:
+        # The exact test comes first: mixing tol into the arithmetic would
+        # promote Fraction endpoints to floats and lose endpoint hits.
         x = _mod1(_coerce(x))
-        if tol > 0:
-            for v in self.points:
-                d = abs(x - v)
-                if min(d, 1 - d) <= tol:
-                    return True
-            # Exact comparisons first: mixing tol into the arithmetic would
-            # promote Fraction endpoints to floats and lose endpoint hits.
-            for lo, hi in self.intervals:
-                if lo <= x <= hi or x + 1 <= hi or x - 1 >= lo:
-                    return True
-            xf = float(x)
-            for lo, hi in self.intervals:
-                lof, hif = float(lo), float(hi)
-                if lof - tol <= xf <= hif + tol:
-                    return True
-                if xf + 1 <= hif + tol or xf - 1 >= lof - tol:
-                    return True
-            return False
         pts, arcs = self.points, self.intervals
         i = bisect_left(pts, x)
         if i < len(pts) and pts[i] == x:
             return True
         k = bisect_right(arcs, x, key=itemgetter(0)) - 1  # the last arc starting at or before x
-        return (k >= 0 and x <= arcs[k][1]) or (x == 0 and bool(arcs) and arcs[-1][1] == 1)
+        if (k >= 0 and x <= arcs[k][1]) or (x == 0 and bool(arcs) and arcs[-1][1] == 1):
+            return True
+        return tol > 0 and (any(circ_dist(x, v) <= tol for v in pts) or any(in_arc(float(x), a, tol) for a in arcs))
 
     def _members(self, xs) -> list[Endpoint]:
         """The values of the sorted sequence xs that lie in self, by one merge walk."""

@@ -1,11 +1,15 @@
 """Tests for circle maps, rotation-number estimates, the Euler cocycle,
 and the finite-stage orbit blow-up."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rotforce import _kernels
 from rotforce.circledyn import (
     CircleMap,
     DenjoyLayout,
@@ -232,6 +236,82 @@ def test_euler_cocycle_rigid_rotations():
     assert euler_cocycle(f, g) == 1
     h = MoebiusOnRP1(MoebiusReal.rotation(math.pi * 0.1))
     assert euler_cocycle(h, h) == 0
+
+
+# The former lift-based cocycle, kept as an oracle: each kind's canonical
+# lift F at y = g(0), minus f(y), checked to be 0 or 1.
+
+
+def _former_lift(f, x):
+    k = math.floor(x)
+    if isinstance(f, PiecewiseLinear):
+        return k + _kernels.pl_eval(f._xe, f._ye, x - k)
+    t0, tp = f(0.0), f(x - k)
+    return k + tp + (1.0 if tp < t0 else 0.0)
+
+
+def _former_euler_cocycle(f, g):
+    y = g(0.0)
+    c = _former_lift(f, y) - f(y)
+    ci = int(round(c))
+    if ci not in (0, 1) or abs(c - ci) > 1e-9:
+        raise ArithmeticError(f"cocycle value {c!r} escaped {{0, 1}}")
+    return ci
+
+
+def _random_rotation(seed):
+    rng = np.random.default_rng(seed)
+    centre = HPoint(float(rng.uniform(-3.0, 3.0)), float(np.exp(rng.normal())))
+    return MoebiusOnRP1(rotation_about(centre, float(rng.uniform(0.01, 0.99))))
+
+
+def _random_pl(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    xs = np.sort(rng.choice(1 << 20, n, replace=False)) / (1 << 20)
+    steps = rng.uniform(0.05, 1.0, n)
+    ys = float(rng.uniform(-2.0, 2.0)) + np.cumsum(steps) / (steps.sum() + float(rng.uniform(0.01, 1.0)))
+    return PiecewiseLinear(xs, ys)
+
+
+_FIXED_MAPS = (
+    denjoy_blowup([rotation_about(HPoint(0.0, 1.0), GOLDEN)], 0.1, depth=30)
+    + denjoy_blowup([rotation_about(HPoint(0.3, 1.2), 1.0 / math.sqrt(2.0)), MoebiusReal.dilation(0.8)], 0.05, depth=3)
+    # matrices whose action rounds the image of 0 up to 1.0
+    + [MoebiusOnRP1(MoebiusReal(1.0, 0.0, -1e-17, 1.0)), MoebiusOnRP1(MoebiusReal(2.0, 0.0, -1e-17, 0.5))]
+)
+_seeds = st.integers(0, 2**32 - 1)
+_maps = st.one_of(_seeds.map(_random_rotation), _seeds.map(_random_pl), st.sampled_from(_FIXED_MAPS))
+_words = st.lists(_maps, min_size=1, max_size=3).map(lambda ms: ms[0] if len(ms) == 1 else Word(ms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_words, _words)
+def test_euler_cocycle_matches_former_lift_oracle(f, g):
+    # away from a tie f(g(0)) = f(0) on the circle, where rounding decides
+    assume(circ_dist(f(g(0.0)), f(0.0)) > 1e-12)
+    assert euler_cocycle(f, g) == _former_euler_cocycle(f, g)
+
+
+def test_euler_cocycle_where_zero_maps_to_one():
+    # the image of 0 rounds up to 1.0: 0 reached from below.  The former
+    # lift read F(1.0) as 1 + f(0) = 2.0 and raised on this valid pair.
+    f = MoebiusOnRP1(MoebiusReal(1.0, 0.0, -1e-17, 1.0))
+    assert f(0.0) == 1.0
+    with pytest.raises(ArithmeticError):
+        _former_euler_cocycle(f, f)
+    assert euler_cocycle(f, f) == 1
+    # after g(0) = 1.0, f(1.0) against f(0) is a rounding tie either way
+    for h in [MoebiusOnRP1(MoebiusReal.rotation(math.pi * k / 10)) for k in range(1, 10)] + [
+        PiecewiseLinear.rotation(0.3)
+    ]:
+        assert euler_cocycle(h, f) == _former_euler_cocycle(h, f) == 1
+
+
+def test_no_lift_methods_and_no_grid_knob():
+    for kind in (CircleMap, MoebiusOnRP1, PiecewiseLinear, Word):
+        assert not hasattr(kind, "lift"), kind
+    assert list(inspect.signature(certify_monotone).parameters) == ["f"]
 
 
 # ---------------------------------------------------------------------------

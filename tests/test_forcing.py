@@ -2,6 +2,7 @@
 its certificates, outer approximation, and interval-group synthesis."""
 
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -257,6 +258,52 @@ def test_check_relations_detects_failure():
     rep = {"a": MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), 0.3))}
     report = check_relations(p, rep)
     assert not report.all_passed
+
+
+# The former check_relations, kept as an oracle: tol and grid were
+# parameters, and the circle distance min(d, 1 - d) was written out.
+
+
+def _former_check_relations(p, assignment, tol=1e-9, grid=1024):
+    ts = np.arange(grid) / grid
+    out = []
+    pairs = list(p.relators) + [(GroupWord(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
+    for lhs, rhs in pairs:
+        d = np.abs(eval_word(lhs, assignment).eval_array(ts) % 1.0 - eval_word(rhs, assignment).eval_array(ts) % 1.0)
+        residual = float(np.max(np.minimum(d, 1.0 - d)))
+        out.append((residual, residual <= tol))
+    return out
+
+
+def test_check_relations_matches_former_grid_scan():
+    triangle = Presentation(
+        generators=("A", "B", "C"),
+        relators=tuple((GroupWord.parse(w), GroupWord(())) for w in ("A^2", "B^3", "C^7", "A B C")),
+    )
+    single = Presentation(generators=("a",), relators=((GroupWord.parse("a"), GroupWord(())),))
+    centre = HPoint(0.2, 1.3)
+    # X commutes with A (same centre) but not with B
+    conj = Presentation(
+        generators=("A", "B", "X"),
+        conjs=(("X", GroupWord.parse("A"), GroupWord.parse("A")), ("X", GroupWord.parse("B"), GroupWord.parse("B"))),
+    )
+    rot = {k: MoebiusOnRP1(rotation_about(c, t)) for k, c, t in (("A", centre, 0.3), ("B", HPoint(0.0, 1.0), 0.2),
+                                                                   ("X", centre, 0.45))}
+    cases = [
+        (triangle, _triangle_assignment()),
+        (single, {"a": MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), 0.3))}),
+        (conj, rot),
+    ]
+    flags = []
+    for p, assignment in cases:
+        report = check_relations(p, assignment)
+        assert report.tol == 1e-9
+        want = _former_check_relations(p, assignment)
+        assert [c.passed for c in report.checks] == [ok for _, ok in want]
+        assert all(abs(c.residual - r) <= 1e-15 for c, (r, _) in zip(report.checks, want))
+        flags += [c.passed for c in report.checks]
+    assert True in flags and False in flags
+    assert list(inspect.signature(check_relations).parameters) == ["p", "assignment"]
 
 
 # ---------------------------------------------------------------------------

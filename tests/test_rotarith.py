@@ -2,11 +2,13 @@
 division, and the torus equation solver."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rotforce import circledyn, rotarith, rotset
 from rotforce.rotarith import (
     AmbiguousSelection,
     Angle,
@@ -186,6 +188,38 @@ def test_domain_complement_avoids_zero():
         assert di.contains(0.0, tol=0.0) or di.lo == di.hi
 
 
+# The former DomainInterval.contains, kept as an oracle: an offset test on
+# the open arc, with a 1e-15 floor when the complement is one point.
+
+
+def _former_domain_contains(di, tp, tol=0.0):
+    tp = tp % 1.0
+    if di.lo == di.hi:
+        return circ_dist(tp, di.lo) > max(tol, 1e-15)
+    span = (di.hi - di.lo) % 1.0
+    off = (tp - di.lo) % 1.0
+    return tol < off < span - tol
+
+
+def test_domain_contains_matches_former_offset_test():
+    rng = np.random.default_rng(2311)
+    for trial in range(2000):
+        l = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 3.0))  # l = 0: the complement is a point
+        theta = float(rng.uniform(0.001, 0.999))
+        di = domain_interval(l, theta)
+        assert (di.lo == di.hi) == (l == 0.0)
+        probes = [float(t) for t in rng.uniform(0.0, 1.0, 4)]
+        probes += [e + s for e in (di.lo, di.hi) for s in (-1e-16, 0.0, 1e-16)]
+        for tp in probes:
+            for tol in (0.0, 1e-12, 1e-9):
+                assert di.contains(tp, tol) == _former_domain_contains(di, tp, tol), (l, theta, tp, tol)
+
+
+def test_one_arc_test_serves_every_caller():
+    assert rotarith.in_arc is circledyn.in_arc and rotset.in_arc is circledyn.in_arc
+    assert not hasattr(rotarith, "_in_arc")
+
+
 def test_divide_exact():
     r = divide(Fraction(1, 7), 3, (0.0, 0.2))
     assert r.exact == Fraction(1, 21)
@@ -351,3 +385,26 @@ def test_solver_no_solution():
     )
     with pytest.raises(NoSolution):
         solve_system(system)
+
+
+def test_two_variable_scan_allocation_peak():
+    # The benchmark-shaped 2-D system: its residual arrays cover 1024^2 grid
+    # cells and set the peak memory of `rotforce solve`.  The scan peaks near
+    # 41 MiB; computing the signed sum from the composed matrix entries with
+    # `_kernels.elliptic_rotation_numbers` holds more full-grid temporaries at
+    # once and peaks near 60 MiB.
+    system = EquationSystem(
+        variables=["x", "y"],
+        equations=[
+            (PlusL(0.7, Var("x"), Var("y")), Const(Angle(0.3))),
+            (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.55))),
+        ],
+    )
+    tracemalloc.start()
+    try:
+        sols = solve_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sols.roots) == 2
+    assert peak < 46 * 2**20, f"{peak / 2**20:.1f} MiB"
