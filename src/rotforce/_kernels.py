@@ -80,6 +80,16 @@ def lift_total(step, n: int, start):
     return total
 
 
+def unit(x):
+    """x mod 1 in [0, 1), elementwise.
+
+    ``x % 1.0`` rounds a tiny negative x up to 1.0, which is 0 reached
+    from below; it is folded to 0.0 here.
+    """
+    x = x - np.floor(x)
+    return x - (x >= 1.0)
+
+
 def rp1(a, b, c, d, t):
     """Projective action of [[a, b], [c, d]] on RP^1 coordinates, elementwise.
 
@@ -88,7 +98,7 @@ def rp1(a, b, c, d, t):
     """
     ct = np.cos(np.pi * t)
     st = np.sin(np.pi * t)
-    return (np.arctan2(c * ct + d * st, a * ct + b * st) / np.pi) % 1.0
+    return unit(np.arctan2(c * ct + d * st, a * ct + b * st) / np.pi)
 
 
 def elliptic_rotation_numbers(a, c, d):

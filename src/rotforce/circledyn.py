@@ -136,10 +136,11 @@ class PiecewiseLinear(CircleMap):
         return cls([0.0], [theta % 1.0])
 
     def __call__(self, t: float) -> float:
-        return _kernels.pl_eval(self._xe, self._ye, t % 1.0) % 1.0
+        y = _kernels.pl_eval(self._xe, self._ye, t % 1.0) % 1.0
+        return 0.0 if y == 1.0 else y  # a tiny negative lift value rounds to 1.0
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(ts, dtype=float) % 1.0, self._xe, self._ye) % 1.0
+        return _kernels.unit(np.interp(np.asarray(ts, dtype=float) % 1.0, self._xe, self._ye))
 
     def inverse(self) -> "PiecewiseLinear":
         us = self.ys % 1.0
@@ -283,13 +284,13 @@ def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstima
 def euler_cocycle(f: CircleMap, g: CircleMap) -> int:
     """c(f, g) = F(G(0)) - (FG)~(0) for canonical lifts F, G, (FG)~; 0 or 1.
 
-    At y = g(0), F(y) = f(y) + 1 exactly when f(y) < f(0), or when y is
-    1.0, which is 0 reached from below; otherwise F(y) = f(y).
+    At y = g(0) in [0, 1), F(y) = f(y) + 1 exactly when f(y) < f(0);
+    otherwise F(y) = f(y).
     """
     for h in (f, g):
         certify_monotone(h)
     y = g(0.0)
-    return int(y >= 1.0 or f(y) < f(0.0))
+    return int(f(y) < f(0.0))
 
 
 # ---------------------------------------------------------------------------

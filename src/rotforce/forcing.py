@@ -22,7 +22,6 @@ import bisect
 import functools
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -141,14 +140,6 @@ class GroupWord:
 
     def gens(self) -> set[str]:
         return {g for g, _ in self.letters}
-
-
-def __getattr__(name: str):
-    # the former name of GroupWord, which clashed with circledyn.Word
-    if name == "Word":
-        warnings.warn("forcing.Word is deprecated; use forcing.GroupWord", DeprecationWarning, stacklevel=2)
-        return GroupWord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _merged_power(w: GroupWord) -> tuple[str, int] | None:

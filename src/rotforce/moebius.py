@@ -173,7 +173,8 @@ class MoebiusReal:
         """Action on the circle coordinate t in [0, 1)."""
         ct = math.cos(math.pi * t)
         st = math.sin(math.pi * t)
-        return (math.atan2(self.c * ct + self.d * st, self.a * ct + self.b * st) / math.pi) % 1.0
+        x = (math.atan2(self.c * ct + self.d * st, self.a * ct + self.b * st) / math.pi) % 1.0
+        return 0.0 if x == 1.0 else x  # a tiny negative angle rounds to 1.0
 
     # -- serialization ------------------------------------------------------
 

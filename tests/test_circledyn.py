@@ -294,18 +294,37 @@ def test_euler_cocycle_matches_former_lift_oracle(f, g):
 
 
 def test_euler_cocycle_where_zero_maps_to_one():
-    # the image of 0 rounds up to 1.0: 0 reached from below.  The former
-    # lift read F(1.0) as 1 + f(0) = 2.0 and raised on this valid pair.
+    # the image of 0 is a tiny negative angle, which `% 1.0` rounds up to
+    # 1.0; the map folds it to 0.0, so g(0) is 0 itself, and the former
+    # lift-based cocycle, which raised on the unfolded 1.0, agrees
     f = MoebiusOnRP1(MoebiusReal(1.0, 0.0, -1e-17, 1.0))
-    assert f(0.0) == 1.0
-    with pytest.raises(ArithmeticError):
-        _former_euler_cocycle(f, f)
-    assert euler_cocycle(f, f) == 1
-    # after g(0) = 1.0, f(1.0) against f(0) is a rounding tie either way
+    assert f(0.0) == 0.0
+    assert euler_cocycle(f, f) == _former_euler_cocycle(f, f) == 0
     for h in [MoebiusOnRP1(MoebiusReal.rotation(math.pi * k / 10)) for k in range(1, 10)] + [
         PiecewiseLinear.rotation(0.3)
     ]:
-        assert euler_cocycle(h, f) == _former_euler_cocycle(h, f) == 1
+        assert euler_cocycle(h, f) == _former_euler_cocycle(h, f) == 0
+
+
+def test_circle_coordinates_fold_one_to_zero():
+    # a tiny negative image angle: `% 1.0` gives 1.0, outside [0, 1)
+    assert (-1e-17 / math.pi) % 1.0 == 1.0
+    for m in (MoebiusReal(1.0, 0.0, -1e-17, 1.0), MoebiusReal(2.0, 0.0, -1e-17, 0.5)):
+        assert m.rp1(0.0) == 0.0
+        assert MoebiusOnRP1(m)(0.0) == 0.0
+        assert MoebiusOnRP1(m).eval_array(np.array([0.0])).tolist() == [0.0]
+        assert _kernels.rp1(*m.entries(), 0.0) == 0.0
+    folded = _kernels.unit(np.array([-1e-17, -0.0, 0.25, 1.0, -0.75, np.nan]))
+    assert folded[:5].tolist() == [0.0, 0.0, 0.25, 0.0, 0.25] and math.isnan(folded[5])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.sampled_from([0.0, -1e-17, -5e-324, 1.0, 1 - 2**-53]))
+def test_circle_coordinates_lie_in_unit_interval(seed, t, edge):
+    ts = np.array([t, edge])
+    for f in (_random_rotation(seed), _random_pl(seed)):
+        vals = [f(t), f(edge), *f.eval_array(ts)]
+        assert all(0.0 <= v < 1.0 for v in vals), (f, vals)
 
 
 def test_no_lift_methods_and_no_grid_knob():

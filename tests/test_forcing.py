@@ -97,12 +97,11 @@ def test_word_parse_errors():
 
 
 
-def test_word_alias_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="GroupWord"):
-        assert forcing.Word is GroupWord
-    assert "GroupWord" in forcing.__all__ and "Word" not in forcing.__all__
+def test_word_alias_is_gone():
+    # the former name of GroupWord, which clashed with circledyn.Word
     with pytest.raises(AttributeError):
-        forcing.NoSuchName
+        forcing.Word
+    assert "GroupWord" in forcing.__all__ and "Word" not in forcing.__all__
 
 
 def test_merged_power_reduction():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotforce import circledyn, rotarith, rotset
 from rotforce.rotarith import (
@@ -388,11 +390,9 @@ def test_solver_no_solution():
 
 
 def test_two_variable_scan_allocation_peak():
-    # The benchmark-shaped 2-D system: its residual arrays cover 1024^2 grid
-    # cells and set the peak memory of `rotforce solve`.  The scan peaks near
-    # 41 MiB; computing the signed sum from the composed matrix entries with
-    # `_kernels.elliptic_rotation_numbers` holds more full-grid temporaries at
-    # once and peaks near 60 MiB.
+    # The benchmark-shaped 2-D system, the one `rotforce solve` answers on a
+    # 1024^2 grid.  The scan holds one block of about 2^16 nodes at a time
+    # and peaks near 4 MiB; the former full-grid scan peaked near 41 MiB.
     system = EquationSystem(
         variables=["x", "y"],
         equations=[
@@ -407,4 +407,240 @@ def test_two_variable_scan_allocation_peak():
     finally:
         tracemalloc.stop()
     assert len(sols.roots) == 2
-    assert peak < 46 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def _chain_system(d: int) -> EquationSystem:
+    """d equations t_i +_l t_(i+1) = c_i around a cycle of d variables, solved by _CHAIN_POINT."""
+    names = list(_CHAIN_POINT)[:d]
+    equations = []
+    for i, l in enumerate((0.7, 0.4, 0.0, 1.1)[:d]):
+        a, b = names[i], names[(i + 1) % d]
+        equations.append((PlusL(l, Var(a), Var(b)), Const(plus_l_oracle(_CHAIN_POINT[a], _CHAIN_POINT[b], l))))
+    return EquationSystem(variables=names, equations=equations)
+
+
+_CHAIN_POINT = {"x": 0.1, "y": 0.23, "z": 0.37, "w": 0.61}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_three_and_four_variable_scan_allocation_peak(d):
+    # 128^3 and 40^4 grid nodes; the former full-grid scan peaked near 102
+    # and 166 MiB.  A 40^4 row is 64,000 nodes, one row per block.  Starts
+    # are collected, not polished: the bound is on the scan.
+    system = _chain_system(d)
+    tracemalloc.start()
+    try:
+        starts = _scan_starts(rotarith._scan, system, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    point = [_CHAIN_POINT[v] for v in system.variables]
+    assert any(np.abs(wrap_diff(s, point)).max() < 1.0 / 40 for s in starts)
+    assert peak < 4 * d * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the streamed scan against the former full-grid scan
+
+
+def _former_scan(system, grid, refine_tol):
+    """The scan before it was streamed in row blocks: the whole grid at once."""
+    d = len(system.variables)
+    if len(system.equations) < d:
+        raise NonDiscrete(f"{len(system.equations)} equations cannot isolate {d} torus variables")
+    per_dim = grid if d == 1 else min(grid, {2: 1024, 3: 128, 4: 40}[d])
+    axes = tuple(range(d))
+    mesh = np.meshgrid(*[np.arange(per_dim) / per_dim] * d, indexing="ij", sparse=True)
+    res = rotarith._residual_vec(system, dict(zip(system.variables, mesh)))
+    res = np.broadcast_to(res, (len(res),) + (per_dim,) * d)
+
+    # a genuine plateau of zeros means the solution set is not discrete
+    flat = (np.abs(res) < 1e-9).all(axis=0)
+    for axis in axes:
+        run = flat & np.roll(flat, -1, axis) & np.roll(flat, -2, axis) & np.roll(flat, -3, axis)
+        if run.any():
+            raise NonDiscrete("residual vanishes along a grid run; solution set has interior")
+
+    # a cell is kept when every residual is <= 0 at one corner, >= 0 at one
+    # corner and small at one corner (so the +-1/2 wrap is no sign change)
+    keep = np.ones(res.shape[1:], dtype=bool)
+    for comp in res:
+        flags = (comp <= 0, comp >= 0, np.abs(comp) < 0.25)
+        seen = [f.copy() for f in flags]
+        for corner in range(1, 1 << d):
+            shift = tuple(-(corner >> i & 1) for i in axes)
+            for acc, f in zip(seen, flags):
+                acc |= np.roll(f, shift, axes)
+        keep &= seen[0] & seen[1] & seen[2]
+    starts = (np.argwhere(keep) + 0.5) / per_dim
+    return (p for p in (rotarith._polish(system, s, refine_tol) for s in starts) if p is not None)
+
+
+def _scan_starts(scan, system, grid, block=None):
+    """The start points a scan hands to the polish, in order, or the message
+    of the NonDiscrete it raises."""
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotarith, "_polish", lambda system, start, tol: starts.append(start))
+        if block is not None:
+            mp.setattr(rotarith, "_SCAN_BLOCK_NODES", block)
+        try:
+            list(scan(system, grid, 1e-10))
+        except NonDiscrete as exc:
+            return str(exc)
+    return np.array(starts).reshape(-1, len(system.variables))
+
+
+def _solve_outcome(system, grid, scan=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if scan is not None:
+            mp.setattr(rotarith, "_scan", scan)
+        try:
+            return solve_system(system, grid=grid)
+        except (NonDiscrete, NoSolution) as exc:
+            return type(exc), str(exc)
+
+
+def _assert_same_starts(a, b):
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, str):
+        assert a == b
+    else:
+        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
+
+
+def _random_system(seed: int, d: int) -> EquationSystem:
+    """d or d + 1 equations in d variables: nested deformed sums with l in
+    [0, 1.5] (l = 0 on some) against constants.  Most right-hand sides are
+    the left one's value at one random point, so the system has a root
+    there; some are constants k/8, and some repeat the left side."""
+    rng = np.random.default_rng(seed)
+    names = ["x", "y", "z", "w"][:d]
+    used = names if rng.random() < 0.75 else list(rng.choice(names, int(rng.integers(1, d + 1)), replace=False))
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return Var(str(rng.choice(used))) if rng.random() < 0.8 else Const(Angle(float(rng.random())))
+        return PlusL(float(rng.uniform(0.0, 1.5)) if rng.random() < 0.7 else 0.0, expr(depth - 1), expr(depth - 1))
+
+    point = {v: np.asarray(rng.random()) for v in names}
+    equations = []
+    for _ in range(d + int(rng.integers(0, 2))):
+        lhs = expr(2)
+        kind, value = rng.integers(0, 4), float(rotarith._eval_expr(lhs, point))
+        if kind < 2 and math.isfinite(value):
+            equations.append((lhs, Const(Angle(value))))
+        else:
+            equations.append((lhs, lhs if kind == 3 else Const(Angle(int(rng.integers(0, 8)) / 8))))
+    return EquationSystem(variables=names, equations=equations)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 5, 7, 9, 12, 33, 200]),
+    st.sampled_from([1, 5, 64, rotarith._SCAN_BLOCK_NODES]),
+)
+def test_streamed_scan_matches_full_grid_scan(seed, d, grid, block):
+    # grids below 8 repeat the wrap rows; small blocks cross many block
+    # boundaries, down to one row per block
+    system = _random_system(seed, d)
+    # a system with no variable at all has no grid to scan
+    assume(any(rotarith._variables_in(lhs) for lhs, _ in system.equations))
+    grid = grid if d == 1 or grid < 200 else {2: 64, 3: 16, 4: 9}[d]
+    former = _scan_starts(_former_scan, system, grid)
+    _assert_same_starts(_scan_starts(rotarith._scan, system, grid, block), former)
+    if isinstance(former, str) or len(former) <= 6:
+        assert _solve_outcome(system, grid) == _solve_outcome(system, grid, _former_scan)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000, None])
+def test_streamed_scan_plateaus_along_each_axis(block):
+    # zero runs along the streamed first axis (across blocks and the wrap)
+    # and along the second axis (inside each block's rows)
+    quarter = Const(Angle(0.5))
+    for axis_var in ("x", "y"):
+        system = EquationSystem(
+            variables=["x", "y"],
+            equations=[(PlusL(0.0, Var(axis_var), Var(axis_var)), quarter)] * 2,
+        )
+        got = _scan_starts(rotarith._scan, system, 64, block)
+        assert got == _scan_starts(_former_scan, system, 64)
+        assert "grid run" in got
+
+
+def test_streamed_scan_runs_across_the_wrap():
+    # t +_l t = t +_l t vanishes on the sum's domain arc around 0 and is
+    # undefined off it; on these grids the arc holds 3 to 6 nodes across
+    # the wrap, so a run of 4 exists or not only through rows 0, 1, 2
+    outcomes = set()
+    for l in (1.5, 2.0, 3.0):
+        sum_ = PlusL(l, Var("t"), Var("t"))
+        system = EquationSystem(variables=["t"], equations=[(sum_, sum_)])
+        for grid in range(5, 13):
+            former = _scan_starts(_former_scan, system, grid)
+            outcomes.add(isinstance(former, str))
+            for block in (1, 2, 3, None):
+                _assert_same_starts(_scan_starts(rotarith._scan, system, grid, block), former)
+    assert outcomes == {True, False}
+
+
+def test_streamed_scan_matches_full_grid_scan_at_full_resolution():
+    # the benchmark's 2-D system: 16 blocks of 64 rows
+    system = EquationSystem(
+        variables=["x", "y"],
+        equations=[
+            (PlusL(0.7, Var("x"), Var("y")), Const(Angle(0.3))),
+            (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.55))),
+        ],
+    )
+    starts = _scan_starts(rotarith._scan, system, 4096)
+    assert len(starts) > 0
+    _assert_same_starts(starts, _scan_starts(_former_scan, system, 4096))
+
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, -1e-17, 1.0, -1.0, 0.5, -0.5]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=20))
+def test_floor_fraction_is_float_mod_bit_for_bit(xs):
+    x = np.array(xs + _EDGES, dtype=float)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal((x - np.floor(x)).view(np.uint64), (x % 1.0).view(np.uint64))
+
+
+def _former_plus_l_signed_array(t1, t2, l):
+    a1 = np.pi * (np.asarray(t1, dtype=float) % 1.0)
+    a2 = np.pi * (np.asarray(t2, dtype=float) % 1.0)
+    c1, s1 = np.cos(a1), np.sin(a1)
+    c2, s2 = np.cos(a2), np.sin(a2)
+    arg = c1 * c2 - np.cosh(l) * s1 * s2
+    low = s1 * c2 + c1 * math.exp(-l) * s2
+    sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
+    theta = (np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi) % 1.0
+    return np.where(np.abs(arg) <= 1.0, theta, np.nan)
+
+
+def test_signed_sum_and_wrap_diff_match_former_float_mod():
+    # the 1024^2 grid at l = 0 holds 8 nodes where the lower-left entry
+    # cancels to exactly +0.0 with a nonzero sine: np.copysign would give
+    # those the other sign, the former np.where gives the negative one
+    rng = np.random.default_rng(7)
+    nodes = np.arange(1024) / 1024
+    edges = np.array(_EDGES[:2] + _EDGES[5:])
+    cases = [
+        (nodes[:, None], nodes[None, :], (0.0,)),
+        (rng.uniform(-3, 3, 10**5), rng.uniform(-3, 3, 10**5), (0.0, 0.7, 1.5)),
+        (edges[:, None], edges[None, :], (0.0, 0.7, 1.5)),
+    ]
+    for t1, t2, ls in cases:
+        for l in ls:
+            new, old = plus_l_signed_array(t1, t2, l), _former_plus_l_signed_array(t1, t2, l)
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64)), l
+        a = np.broadcast_to(t1, np.broadcast_shapes(np.shape(t1), np.shape(t2)))
+        with np.errstate(invalid="ignore"):
+            former = (a - t2 + 0.5) % 1.0 - 0.5
+        assert np.array_equal(wrap_diff(t1, t2).view(np.uint64), np.asarray(former).view(np.uint64))
