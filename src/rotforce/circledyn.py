@@ -385,6 +385,8 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
     # when outside the ball.  Word tuples are built once, for the entries.
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not math.isfinite(orbit_seed):
+        raise ValueError(f"seed point must be a finite number, got {orbit_seed}")
     gens = [m if isinstance(m, MoebiusOnRP1) else MoebiusOnRP1(m) for m in generators]
     if not gens:
         return DenjoyLayout(entries=(), total_weight=0.0, maps=())

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,22 @@ def _emit(payload: dict, args) -> None:
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json(path: str):
+    """A system file's document, refusing NaN, Infinity and numbers past float range."""
+    def finite(tok: str) -> float:
+        if not math.isfinite(v := float(tok)):
+            raise ValueError(f"{path}: {tok} is not a finite number")
+        return v
+    return json.loads(_read_text(path), parse_float=finite, parse_constant=finite)
+
+
+def _rational(flag: str, tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} value {tok.strip()!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +169,7 @@ def _parse_expr(node, variables) -> rotarith.Expr:
 
 
 def _cmd_solve(args) -> None:
-    doc = json.loads(_read_text(args.system))
+    doc = _read_json(args.system)
     variables = list(doc["variables"])
     system = rotarith.EquationSystem(
         variables=variables,
@@ -182,7 +199,7 @@ def _cmd_euler_feasible(args) -> None:
     check_manifold_cover(sig, args.degree, args.cover_chi)
     fixed = {}
     if args.fix:
-        values = [Fraction(v) for v in args.fix.split(",") if v.strip()]
+        values = [_rational("--fix", v) for v in args.fix.split(",") if v.strip()]
         if len(values) > len(sig.cone_orders):
             raise ValueError("more pinned values than cone slots")
         fixed = dict(enumerate(values))
@@ -268,7 +285,7 @@ def _cmd_approx(args) -> None:
         pairs = []
         for part in args.intervals.split(","):
             lo, _, hi = part.partition(":")
-            pairs.append((Fraction(lo), Fraction(hi)))
+            pairs.append((_rational("--intervals", lo), _rational("--intervals", hi)))
         kspec = pairs
     else:
         raise ValueError("need --cantor or --intervals")

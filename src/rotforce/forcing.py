@@ -1,5 +1,9 @@
 """Group presentations, relation checking, and rotation-number forcing.
 
+A presentation is generators plus relators (word equations lhs = rhs)
+plus annotations that only propagation reads.  The grammar's ``torsion``,
+``conj`` and ``commute`` statements are spellings of relators.
+
 The centerpiece is :func:`propagate`: starting from the full circle for
 every generator, it applies a fixed list of sound rules -- conjugacy
 invariance, rot(g^n) = n rot(g), the Baumslag-Solitar collapse, addition
@@ -32,7 +36,7 @@ from . import circledyn
 from .circledyn import CircleMap, circ_dist
 from .eulerorb import OrbifoldSig, check_manifold_cover, lifted_euler_ranges
 from .rotarith import domain_interval, wrap_diff
-from .rotset import RotSet, _fmt, rotset_intersect, rotset_symmetrize, rotset_union
+from .rotset import RotSet, _fmt
 
 __all__ = [
     "GroupWord",
@@ -59,10 +63,6 @@ __all__ = [
     "PresentationSyntaxError",
     "UnknownGenerator",
     "UnassignedGenerator",
-    "RotSet",
-    "rotset_union",
-    "rotset_intersect",
-    "rotset_symmetrize",
 ]
 
 
@@ -118,13 +118,7 @@ class GroupWord:
             name, _, exp = tok.partition("^")
             if not name.isidentifier():
                 raise PresentationSyntaxError(f"bad generator token {tok!r}")
-            if exp:
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise PresentationSyntaxError(f"bad exponent in {tok!r}") from None
-            else:
-                e = 1
+            e = _number(exp) if exp else 1
             if e == 0:
                 raise PresentationSyntaxError(f"zero exponent in {tok!r}")
             letters.append((name, e))
@@ -142,16 +136,33 @@ class GroupWord:
         return {g for g, _ in self.letters}
 
 
-def _merged_power(w: GroupWord) -> tuple[str, int] | None:
-    """(g, n) when the word reduces to a pure power of one generator, stripping
+def _merge_adjacent(letters) -> list[tuple[str, int]]:
+    """Merge neighbouring powers of one generator, dropping zero powers, as a stack."""
+    merged: list[tuple[str, int]] = []
+    for g, e in letters:
+        if merged and merged[-1][0] == g:
+            e2 = merged[-1][1] + e
+            merged.pop()
+            if e2:
+                merged.append((g, e2))
+        else:
+            merged.append((g, e))
+    return merged
+
+
+def _stripped_power(merged: list[tuple[str, int]]) -> tuple[str, int] | None:
+    """(g, n) when the merged letters are a pure power of one generator, stripping
     any conjugating dressing u g^n u^-1; None otherwise."""
-    merged = _merge_adjacent(w.letters)
     # strip matched conjugation: first letter inverse of last.  The merged
     # word has no two adjacent letters on one generator, so neither has
     # what is left after stripping.
     while len(merged) >= 3 and merged[0][0] == merged[-1][0] and merged[0][1] == -merged[-1][1]:
         merged = merged[1:-1]
     return merged[0] if len(merged) == 1 else None
+
+
+def _merged_power(w: GroupWord) -> tuple[str, int] | None:
+    return _stripped_power(_merge_adjacent(w.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +195,11 @@ class DialData:
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators, relators (lhs, rhs) for lhs = rhs -- every group relation is
+    one -- and the annotations propagation reads.  A dial's order stays in its DialData."""
+
     generators: tuple[str, ...]
     relators: tuple[tuple[GroupWord, GroupWord], ...] = ()
-    commutes: tuple[tuple[str, str], ...] = ()
-    conjs: tuple[tuple[str, GroupWord, GroupWord], ...] = ()  # (x, h, h2): x h x^-1 = h2
-    torsions: tuple[tuple[str, int], ...] = ()
     orbifolds: tuple[OrbifoldData, ...] = ()
     dials: tuple[DialData, ...] = ()
     pins: tuple[tuple[str, tuple], ...] = ()  # (g, rotation values)
@@ -251,11 +262,13 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the line-oriented presentation grammar.
 
     Statements end at ';' or newline: ``gens A,B,C``, ``rels A^2 = T, A B C = T``,
-    ``commute (a,b)``, ``conj (x: h -> h2)`` (x h x^-1 = h2, h/h2 words),
-    ``torsion C:7``, ``orbifold sig=0;2,3,7 degree=168 coverchi=-4 [maximal]
+    ``commute (a,b)``, ``conj (x: h -> h2)`` (h/h2 words), ``torsion C:7``,
+    ``orbifold sig=0;2,3,7 degree=168 coverchi=-4 [maximal]
     map C:3`` (cone slots 1-based), ``dial nu:3 [controls a,b]``,
     ``pin g: 0,1/4``, ``exclude g: l=1.0 theta=0.25``, ``mark C``.
-    The token ``1`` is the empty word.
+    The token ``1`` is the empty word.  ``commute``, ``conj`` and ``torsion``
+    are stored as the relators a b = b a, x h x^-1 = h2 and C^7 = 1, so
+    ``torsion a:3`` parses to the same Presentation as ``rels a^3 = 1``.
     """
     stmts = _statements(text)
     gens: list[str] = []
@@ -285,9 +298,7 @@ def parse_presentation(text: str) -> Presentation:
         return w
 
     relators: list[tuple[GroupWord, GroupWord]] = []
-    commutes: list[tuple[str, str]] = []
-    conjs: list[tuple[str, GroupWord, GroupWord]] = []
-    torsions: list[tuple[str, int]] = []
+    one = GroupWord(())
     orbifolds: list[OrbifoldData] = []
     dials: list[DialData] = []
     pins: list[tuple[str, tuple]] = []
@@ -310,21 +321,21 @@ def parse_presentation(text: str) -> Presentation:
                 m = re.fullmatch(r"\(\s*(\w+)\s*,\s*(\w+)\s*\)", rest)
                 if not m:
                     raise PresentationSyntaxError(f"expected 'commute (a,b)': {stmt!r}")
-                commutes.append((need(m.group(1), stmt), need(m.group(2), stmt)))
+                a, b = need(m.group(1), stmt), need(m.group(2), stmt)
+                relators.append((GroupWord(((a, 1), (b, 1))), GroupWord(((b, 1), (a, 1)))))
             elif head == "conj":
                 m = re.fullmatch(r"\(\s*(\w+)\s*:\s*(.+?)\s*->\s*(.+?)\s*\)", rest)
                 if not m:
                     raise PresentationSyntaxError(f"expected 'conj (x: h -> h2)': {stmt!r}")
-                conjs.append(
-                    (need(m.group(1), stmt), parse_word(m.group(2), stmt), parse_word(m.group(3), stmt))
-                )
+                x, h = need(m.group(1), stmt), parse_word(m.group(2), stmt)
+                relators.append((GroupWord(((x, 1), *h.letters, (x, -1))), parse_word(m.group(3), stmt)))
             elif head == "torsion":
                 for part in rest.split(","):
                     name, _, order = part.partition(":")
                     q = _number(order)
                     if q < 1:
                         raise PresentationSyntaxError(f"torsion order must be >= 1: {part!r}")
-                    torsions.append((need(name.strip(), stmt), q))
+                    relators.append((GroupWord(((need(name.strip(), stmt), q),)), one))
             elif head == "orbifold":
                 orbifolds.append(_parse_orbifold(rest, need))
             elif head == "dial":
@@ -354,9 +365,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(
         generators=tuple(gens),
         relators=tuple(relators),
-        commutes=tuple(commutes),
-        conjs=tuple(conjs),
-        torsions=tuple(torsions),
         orbifolds=tuple(orbifolds),
         dials=tuple(dials),
         pins=tuple(pins),
@@ -421,12 +429,6 @@ def print_presentation(p: Presentation) -> str:
     lines = [f"gens {', '.join(p.generators)};"]
     if p.relators:
         lines.append("rels " + ", ".join(f"{a} = {b}" for a, b in p.relators) + ";")
-    for a, b in p.commutes:
-        lines.append(f"commute ({a}, {b});")
-    for x, h, h2 in p.conjs:
-        lines.append(f"conj ({x}: {h} -> {h2});")
-    for g, q in p.torsions:
-        lines.append(f"torsion {g}:{q};")
     for ob in p.orbifolds:
         parts = [f"orbifold sig={ob.sig}", f"degree={ob.degree}", f"coverchi={ob.cover_chi}"]
         if ob.maximal:
@@ -483,11 +485,11 @@ class RelationReport:
 
 def check_relations(p: Presentation, assignment: Mapping[str, CircleMap]) -> RelationReport:
     """Max circle distance between the two sides of each relator on a grid of
-    1024 points; a relator passes within 1e-9."""
+    1024 points; a relator passes within 1e-9.  Every relation statement is a
+    relator (torsion, conj and commute included), so each gets one check."""
     ts = np.arange(_RELATION_GRID) / _RELATION_GRID
     checks = []
-    pairs = list(p.relators) + [(GroupWord(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
-    for lhs, rhs in pairs:
+    for lhs, rhs in p.relators:
         fx = eval_word(lhs, assignment).eval_array(ts)
         gx = eval_word(rhs, assignment).eval_array(ts)
         residual = float(np.abs(wrap_diff(fx, gx)).max())
@@ -584,20 +586,6 @@ def _euler_projections(ob: OrbifoldData, state: Mapping[str, RotSet]) -> dict[in
     return out
 
 
-def _merge_adjacent(letters) -> list[tuple[str, int]]:
-    """Merge neighbouring powers of one generator, dropping zero powers, as a stack."""
-    merged: list[tuple[str, int]] = []
-    for g, e in letters:
-        if merged and merged[-1][0] == g:
-            e2 = merged[-1][1] + e
-            merged.pop()
-            if e2:
-                merged.append((g, e2))
-        else:
-            merged.append((g, e))
-    return merged
-
-
 class _Rule(NamedTuple):
     """A rule instance; derive(state) -> [(generator, set)] reads only the cited
     generators' sets.  A rule that settles derives nothing new from its own updates."""
@@ -620,50 +608,54 @@ def _euler_rule(ob: OrbifoldData, state: Mapping[str, RotSet]) -> list[tuple[str
 
 
 def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
-    """The presentation's rule instances, mined once, in firing order: pins,
-    R1-R3 (m rot(g) = k rot(h) from relators and conj annotations whose sides
-    reduce to pure powers), R4 (a^i b^j = c^k with (a,b) commuting), R5
-    (torsion, g^q = 1 and dials), R6 per orbifold, R7 per exclusion."""
-    rules: list[_Rule] = []
+    """The presentation's rule instances, mined in one pass over the relators,
+    each side merged once, and listed in firing order: pins; R1-R3 (m rot(g) =
+    k rot(h) from relators whose sides reduce to pure powers); R4 (a^i b^j =
+    c^k with a, b commuting, as some relator a b = b a with exponents +-1
+    says); R5 (g^q = 1, then dials); R6 per orbifold; R7 per exclusion.
+    Within a kind, rules follow the relators' order."""
 
-    def fixed(rule: str, premise: str, g: str, make: Callable[..., RotSet], *args) -> None:
-        rules.append(_Rule(rule, premise, (), lambda state: [(g, make(*args))]))
+    def fixed(rule: str, premise: str, g: str, make: Callable[..., RotSet], *args) -> _Rule:
+        return _Rule(rule, premise, (), lambda state: [(g, make(*args))])
 
-    def solved(rule: str, premise: str, g: str, m: int, *terms: tuple[str, int]) -> None:
+    def solved(rule: str, premise: str, g: str, m: int, *terms: tuple[str, int]) -> _Rule:
         # m rot(g) = the sum of k rot(h) over the terms (h, k), solved for g (sets are symmetric)
         def derive(state):
             total = functools.reduce(RotSet.minkowski, [state[h].scale_image(k) for h, k in terms])
             return [(g, total.scale_preimage(m))]
-        rules.append(_Rule(rule, premise, tuple(h for h, _ in terms), derive))
+        return _Rule(rule, premise, tuple(h for h, _ in terms), derive)
 
-    for g, values in list(p.pins) + sorted(extra_pins.items()):
-        fixed("pin", f"pin {g}", g, RotSet.from_points, values)
-    linear = [(_merged_power(lhs), _merged_power(rhs), f"relator {lhs} = {rhs}") for lhs, rhs in p.relators]
-    linear += [(_merged_power(h), _merged_power(h2), f"conj ({x}: {h} -> {h2})") for x, h, h2 in p.conjs]
-    for (g, m), (h, k), premise in [t for t in linear if t[0] and t[1]]:
-        if g != h:
-            rule = "R1" if abs(m) == 1 and abs(k) == 1 else "R2"
-            solved(rule, premise, g, m, (h, k))
-            solved(rule, premise, h, k, (g, m))
-        elif m != k:
-            fixed("R3", premise, g, _multiples, abs(k - m))
-    commuting = {frozenset(pair) for pair in p.commutes}
-    torsion = [(g, q, f"torsion {g}:{q}") for g, q in p.torsions]
+    rules = [fixed("pin", f"pin {g}", g, RotSet.from_points, values)
+             for g, values in list(p.pins) + sorted(extra_pins.items())]
+    # R5 rules; R4 candidates (a^i b^j, c^k, relator), kept once a and b are known to commute
+    torsion, products, commuting = [], [], set()
     for lhs, rhs in p.relators:
-        for side, other in ((lhs, rhs), (rhs, lhs)):
-            pw, merged = _merged_power(other), _merge_adjacent(side.letters)
-            if pw and len(merged) == 2 and frozenset(g for g, _ in merged) in commuting:
-                (a, i), (b, j) = merged
-                premise = f"relator {lhs} = {rhs} with commute ({a},{b})"
-                solved("R4", premise, *pw, (a, i), (b, j))
-                solved("R4", premise, a, i, pw, (b, j))
-                solved("R4", premise, b, j, pw, (a, i))
-            own = _merged_power(side)
+        left, right = _merge_adjacent(lhs.letters), _merge_adjacent(rhs.letters)
+        pl, pr = _stripped_power(left), _stripped_power(right)
+        if pl and pr:
+            (g, m), (h, k), premise = pl, pr, f"relator {lhs} = {rhs}"
+            if g != h:
+                rule = "R1" if abs(m) == 1 and abs(k) == 1 else "R2"
+                rules += [solved(rule, premise, g, m, (h, k)), solved(rule, premise, h, k, (g, m))]
+            elif m != k:
+                rules.append(fixed("R3", premise, g, _multiples, abs(k - m)))
+        if len(left) == 2 and right == left[::-1] and all(abs(e) == 1 for _, e in left):
+            commuting.add(frozenset(g for g, _ in left))
+        for side, own, other, pw in ((left, pl, rhs, pr), (right, pr, lhs, pl)):
+            if pw and len(side) == 2:
+                products.append((side, pw, (lhs, rhs)))
             if own and not other.letters:
-                torsion.append((own[0], abs(own[1]), f"relator {lhs} = {rhs}"))
-    torsion += [(d.name, d.order, f"dial {d.name}:{d.order}") for d in p.dials]
-    for g, q, premise in torsion:
-        fixed("R5", premise, g, _multiples, q)
+                torsion.append(fixed("R5", f"relator {lhs} = {rhs}", own[0], _multiples, abs(own[1])))
+    for ((a, i), (b, j)), pw, (lhs, rhs) in products:
+        if frozenset((a, b)) in commuting:
+            premise = f"relator {lhs} = {rhs} with commute ({a},{b})"
+            rules += [
+                solved("R4", premise, *pw, (a, i), (b, j)),
+                solved("R4", premise, a, i, pw, (b, j)),
+                solved("R4", premise, b, j, pw, (a, i)),
+            ]
+    rules += torsion
+    rules += [fixed("R5", f"dial {d.name}:{d.order}", d.name, _multiples, d.order) for d in p.dials]
     for ob in p.orbifolds:
         maximal = " maximal" if ob.maximal else ""
         premise = f"orbifold sig={ob.sig} degree={ob.degree} coverchi={ob.cover_chi}{maximal}"
@@ -673,7 +665,7 @@ def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
         settles = len(set(ob.cone_map)) == len(set(cites))
         rules.append(_Rule("R6", premise, cites, functools.partial(_euler_rule, ob), settles))
     for g, l, theta in p.excludes:
-        fixed("R7", f"exclude {g}: l={l!r} theta={theta!r}", g, _excluded, l, theta)
+        rules.append(fixed("R7", f"exclude {g}: l={l!r} theta={theta!r}", g, _excluded, l, theta))
     return rules
 
 
@@ -846,10 +838,10 @@ def emit_interval_group(interval) -> Presentation:
     gens = ("Gamma", "alpha", "alphap", "beta", "gamma", "mu")
     return Presentation(
         generators=gens,
-        commutes=(("gamma", "alphap"),),
-        conjs=(
-            ("beta", GroupWord((("alpha", 1),)), GroupWord((("alphap", 1),))),
-            ("mu", GroupWord((("alpha", 1), ("gamma", 1))), GroupWord((("beta", 1),))),
+        relators=tuple(
+            (GroupWord.parse(lhs), GroupWord.parse(rhs))
+            for lhs, rhs in (("gamma alphap", "alphap gamma"), ("beta alpha beta^-1", "alphap"),
+                             ("mu alpha gamma mu^-1", "beta"))
         ),
         pins=(("beta", (Fraction(0),)), ("alpha", (theta,))),
         excludes=(("gamma", l, theta),),

@@ -309,6 +309,8 @@ def triangle_group_rep(p: int, q: int, r: int) -> tuple[MoebiusReal, MoebiusReal
     cycle negatively oriented, which is what lets the three *positive*
     rotation numbers multiply to the identity.
     """
+    if min(p, q, r) < 2:
+        raise ValueError(f"triangle orders must be at least 2, got {p}, {q}, {r}")
     if p * q + p * r + q * r >= p * q * r:
         raise NotHyperbolicTriangle(f"1/{p} + 1/{q} + 1/{r} >= 1")
     alpha, beta, gamma = math.pi / p, math.pi / q, math.pi / r

@@ -95,6 +95,13 @@ def _as_float(t: AngleLike) -> float:
     return float(t) % 1.0
 
 
+def _check_finite(**args: AngleLike) -> None:
+    """A ValueError naming the first argument that is NaN or infinite."""
+    for name, x in args.items():
+        if not math.isfinite(v := x.value if isinstance(x, Angle) else float(x)):
+            raise ValueError(f"{name} must be a finite number, got {v}")
+
+
 def wrap_diff(a, b):
     """Signed circle difference in [-0.5, 0.5)."""
     x = np.asarray(a) - np.asarray(b) + 0.5
@@ -115,6 +122,7 @@ def _as_exact(t: AngleLike) -> Fraction | None:
 
 def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     """Unsigned deformed sum via the arccos formula; Angle-normalized (1 -> 0)."""
+    _check_finite(l=l, t1=t1, t2=t2)
     if l == 0:
         e1, e2 = _as_exact(t1), _as_exact(t2)
         if e1 is not None and e2 is not None:
@@ -135,6 +143,7 @@ def plus_l_oracle(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     Centers sit at i and e^l i on the imaginary axis.  An identity
     composition reports 0; parabolic or hyperbolic compositions raise.
     """
+    _check_finite(l=l, t1=t1, t2=t2)
     m = rotation_about(HPoint(0.0, 1.0), _as_float(t1)) @ rotation_about(
         HPoint(0.0, math.exp(l)), _as_float(t2)
     )
@@ -206,6 +215,7 @@ def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     h = acos(1/R)/pi, and the good set is the open arc (c + h, c - h).
     The complement always contains -theta.
     """
+    _check_finite(l=l, theta=theta)
     t = _as_float(theta)
     if l == 0.0 and t == 0.0:
         raise ValueError("(l, theta) = (0, 0) has no excluded direction")

@@ -330,8 +330,3 @@ class RotSet:
         parts += [f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in self.intervals]
         return "{" + ", ".join(parts) + "}"
 
-
-# kept as module-level names because ``forcing`` re-exports them
-rotset_union = RotSet.union
-rotset_intersect = RotSet.intersect
-rotset_symmetrize = RotSet.from_intervals

@@ -561,6 +561,12 @@ def test_denjoy_build_errors_match_word_tuple_oracle(gens, seed, weights, depth,
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan])
+def test_denjoy_rejects_non_finite_seed_point(seed):
+    with pytest.raises(ValueError, match="^seed point must be a finite number"):
+        denjoy_layout([_golden_generator()], seed, depth=2)
+
+
 def test_denjoy_every_depth_carries_each_generator():
     # The empty word and each generator's image are in every ball, so each
     # blown-up generator has at least one gap pair: the former "depth too

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import json
+import shlex
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -461,6 +464,62 @@ def test_triangle_rep(capsys):
     assert rots[1] == pytest.approx(1 / 3, abs=1e-12)
     assert rots[2] == pytest.approx(1 / 7, abs=1e-12)
     assert doc["relator_residual"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["domain", "--l", "nan", "--theta", "0.25"], "l must be a finite number, got nan"),
+        (["domain", "--l", "1.0", "--theta", "inf"], "theta must be a finite number, got inf"),
+        (["addl", "0.1", "0.2", "--l", "nan"], "l must be a finite number, got nan"),
+        (["denjoy", "--theta", "0.3", "--seed-point", "inf"], "seed point must be a finite number, got inf"),
+        (["triangle", "2", "3", "-5"], "triangle orders must be at least 2, got 2, 3, -5"),
+        (["euler-feasible", "--sig", "0;2,3,7", "--degree", "168", "--cover-chi", "-4", "--fix", "1/2,1/0"],
+         "--fix value '1/0' is not a rational number"),
+    ],
+)
+def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "system, token",
+    [
+        ('{"variables":["t"],"equations":[[{"plus_l":{"l":NaN,"a":"t","b":"t"}},"2/5"]]}', "NaN"),
+        ('{"variables":["t"],"equations":[[{"plus_l":{"l":0.0,"a":"t","b":"t"}},"2/5"]],'
+         '"constraints":{"t":[NaN,0.5]}}', "NaN"),
+        ('{"variables":["t"],"equations":[[{"plus_l":{"l":1e999,"a":"t","b":"t"}},"2/5"]]}', "1e999"),
+        ('{"variables":["t"],"equations":[[{"plus_l":{"l":0.0,"a":"t","b":"t"}},-Infinity]]}', "-Infinity"),
+    ],
+)
+def test_solve_file_rejects_non_finite_numbers(tmp_path, capsys, system, token):
+    # these once ended in "no isolated root satisfies the constraints"
+    path = tmp_path / "sys.json"
+    path.write_text(system)
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: {token} is not a finite number\n")
+
+
+def _readme_usage_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def test_readme_usage_commands_run(tmp_path, monkeypatch, capsys):
+    # every command the README shows runs as written, after the block's set-up lines
+    lines = _readme_usage_block()
+    setup = [line for line in lines if line.split()[0] in ("echo", "printf")]
+    commands = [line for line in lines if line.split()[0] == "rotforce"]
+    assert len(setup) + len(commands) == len(lines) and len(commands) >= 10
+    for line in setup:
+        subprocess.run(line, shell=True, cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        code, out, err = run(capsys, shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        assert json.loads(out)["meta"]["command"] == shlex.split(line)[1], line
 
 
 def test_triangle_rejects_non_hyperbolic(capsys):

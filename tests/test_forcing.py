@@ -1,6 +1,7 @@
 """Tests for the presentation grammar, the rotation-set propagation engine,
 its certificates, outer approximation, and interval-group synthesis."""
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -143,7 +144,16 @@ def test_parse_unknown_generator():
 
 def test_parse_semicolon_inside_comment():
     p = parse_presentation("gens a  # note; includes a semicolon\ntorsion a:3")
-    assert p.torsions == (("a", 3),)
+    assert p.relators == ((GroupWord.parse("a^3"), GroupWord(())),)
+
+
+def test_relation_statements_are_relators():
+    assert parse_presentation("gens a; torsion a:3") == parse_presentation("gens a; rels a^3 = 1")
+    assert parse_presentation("gens a, b; commute (a, b)") == parse_presentation("gens a, b; rels a b = b a")
+    assert parse_presentation("gens a, x; conj (x: a -> 1)") == parse_presentation("gens a, x; rels x a x^-1 = 1")
+    assert [f.name for f in dataclasses.fields(Presentation)] == [
+        "generators", "relators", "orbifolds", "dials", "pins", "excludes", "marked"
+    ]
 
 
 def test_parse_orbifold_fields():
@@ -266,8 +276,7 @@ def test_check_relations_detects_failure():
 def _former_check_relations(p, assignment, tol=1e-9, grid=1024):
     ts = np.arange(grid) / grid
     out = []
-    pairs = list(p.relators) + [(GroupWord(((x, 1),) + h.letters + ((x, -1),)), h2) for x, h, h2 in p.conjs]
-    for lhs, rhs in pairs:
+    for lhs, rhs in p.relators:
         d = np.abs(eval_word(lhs, assignment).eval_array(ts) % 1.0 - eval_word(rhs, assignment).eval_array(ts) % 1.0)
         residual = float(np.max(np.minimum(d, 1.0 - d)))
         out.append((residual, residual <= tol))
@@ -284,7 +293,7 @@ def test_check_relations_matches_former_grid_scan():
     # X commutes with A (same centre) but not with B
     conj = Presentation(
         generators=("A", "B", "X"),
-        conjs=(("X", GroupWord.parse("A"), GroupWord.parse("A")), ("X", GroupWord.parse("B"), GroupWord.parse("B"))),
+        relators=tuple((GroupWord.parse(f"X {h} X^-1"), GroupWord.parse(h)) for h in ("A", "B")),
     )
     rot = {k: MoebiusOnRP1(rotation_about(c, t)) for k, c, t in (("A", centre, 0.3), ("B", HPoint(0.0, 1.0), 0.2),
                                                                    ("X", centre, 0.45))}
@@ -303,6 +312,28 @@ def test_check_relations_matches_former_grid_scan():
         flags += [c.passed for c in report.checks]
     assert True in flags and False in flags
     assert list(inspect.signature(check_relations).parameters) == ["p", "assignment"]
+
+
+def test_check_relations_checks_torsion_and_commute():
+    # torsion and commute statements each get a check, spelled either way
+    centre, other = HPoint(0.0, 1.0), HPoint(0.3, 1.2)
+
+    def report(text, a, b):
+        return check_relations(parse_presentation(text), {"a": MoebiusOnRP1(a), "b": MoebiusOnRP1(b)})
+
+    cases = [
+        (rotation_about(centre, 0.25), rotation_about(other, 0.2), [False, False]),
+        (rotation_about(centre, 1 / 3), rotation_about(centre, 0.2), [True, True]),
+        (rotation_about(centre, 1 / 3), rotation_about(other, 0.2), [True, False]),
+        (rotation_about(centre, 0.25), rotation_about(centre, 0.2), [False, True]),
+    ]
+    for a, b, want in cases:
+        sugar = report("gens a, b; torsion a:3; commute (a, b)", a, b)
+        assert [c.passed for c in sugar.checks] == want
+        assert [c.relator for c in sugar.checks] == ["a^3 = 1", "a b = b a"]
+        assert sugar == report("gens a, b; rels a^3 = 1, a b = b a", a, b)
+    (check,) = report("gens a, b; torsion a:3", rotation_about(centre, 0.25), rotation_about(centre, 0.2)).checks
+    assert check.residual > 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +391,27 @@ def test_commuting_product_adds_rotation_numbers():
     r = propagate(p)
     expected = {F(0), F(1, 12), F(1, 6), F(1, 4), F(5, 12), F(7, 12), F(3, 4), F(5, 6), F(11, 12)}
     assert set(r.marked["c"].point_values()) == expected
+
+
+def test_conj_statements_reach_r4_and_r5():
+    # a conj statement is a relator, so it feeds R4 and R5 like any other
+    r = propagate(parse_presentation("gens a, b, c, X; commute (a, b); conj (X: c -> a b); torsion a:4, b:6; mark c"))
+    assert r.marked["c"] == RotSet.from_points([F(k, 12) for k in range(12)])
+    assert "R4" in {e.rule for e in r.certificate.entries}
+    r = propagate(parse_presentation("gens A, X; conj (X: A^3 -> 1); mark A"))
+    assert r.marked["A"] == RotSet.from_points([F(1, 3)])
+    assert r.certificate.entries[0].premises == ("relator X A^3 X^-1 = 1",)
+
+
+def test_written_out_commutator_counts_as_commute():
+    pins = "rels a b = c; pin a: 1/4; pin b: 1/6; mark c"
+    sugar = propagate(parse_presentation(f"gens a, b, c; commute (a, b); {pins}"))
+    assert propagate(parse_presentation(f"gens a, b, c; rels a b = b a; {pins}")).to_json() == sugar.to_json()
+    inverse = propagate(parse_presentation(f"gens a, b, c; rels a^-1 b = b a^-1; {pins}"))
+    assert inverse.marked == sugar.marked
+    # a^2 commuting with b does not make a commute with b
+    square = propagate(parse_presentation(f"gens a, b, c; rels a^2 b = b a^2; {pins}"))
+    assert square.marked["c"] == RotSet.full()
 
 
 def test_propagation_is_monotone_in_annotations():
@@ -776,15 +828,11 @@ def _linear_relations(p):
         a, b = _merged_power(lhs), _merged_power(rhs)
         if a and b:
             out.append((a[1], a[0], b[1], b[0], f"relator {lhs} = {rhs}"))
-    for x, h, h2 in p.conjs:
-        a, b = _merged_power(h), _merged_power(h2)
-        if a and b:
-            out.append((a[1], a[0], b[1], b[0], f"conj ({x}: {h} -> {h2})"))
     return out
 
 
 def _torsion_facts(p):
-    out = [(g, q, f"torsion {g}:{q}") for g, q in p.torsions]
+    out = []
     for lhs, rhs in p.relators:
         for side, other in ((lhs, rhs), (rhs, lhs)):
             if other.letters:
@@ -798,7 +846,11 @@ def _torsion_facts(p):
 
 
 def _commuting_products(p):
-    commuting = {frozenset(pair) for pair in p.commutes}
+    commuting = set()
+    for lhs, rhs in p.relators:
+        left = forcing._merge_adjacent(lhs.letters)
+        if len(left) == 2 and forcing._merge_adjacent(rhs.letters) == left[::-1] and {abs(e) for _, e in left} == {1}:
+            commuting.add(frozenset(g for g, _ in left))
     out = []
     for lhs, rhs in p.relators:
         for side, other in ((lhs, rhs), (rhs, lhs)):
@@ -953,6 +1005,60 @@ def test_rule_list_matches_seven_block_engine(monkeypatch):
     rules = {e["rule"] for doc in new if doc.startswith("{") for e in json.loads(doc)["certificate"]}
     assert rules == {"pin", "R1", "R2", "R3", "R4", "R5", "R6", "R7"}
     assert sum(doc.startswith("Inconsistent") for doc in new) < len(new) // 10
+
+
+_GENS = ("a", "b", "c")
+_words = st.lists(st.tuples(st.sampled_from(_GENS), st.sampled_from((-2, -1, 1, 2, 3))), max_size=2).map(
+    lambda letters: GroupWord(tuple(letters))
+)
+
+
+@st.composite
+def _statements(draw):
+    """A statement, or two, as (sugar text, the same relations written with rels)."""
+    kind = draw(st.sampled_from(("rels", "product", "torsion", "conj", "commute", "pin", "mark")))
+    g, h = draw(st.sampled_from(_GENS)), draw(st.sampled_from(_GENS))
+    if kind == "rels":
+        text = f"rels {draw(_words)} = {draw(_words)}"
+        return text, text
+    if kind == "product":  # what R4 reads: g^i h = w with g and h commuting
+        rel = f"rels {GroupWord(((g, draw(st.integers(1, 3))), (h, 1)))} = {draw(_words)}"
+        return f"commute ({g}, {h})\n{rel}", f"rels {g} {h} = {h} {g}\n{rel}"
+    if kind == "torsion":
+        q = draw(st.integers(1, 8))
+        return f"torsion {g}:{q}", f"rels {g}^{q} = 1"
+    if kind == "conj":
+        w, w2 = draw(_words), draw(_words)
+        return f"conj ({g}: {w} -> {w2})", f"rels {GroupWord(((g, 1),) + w.letters + ((g, -1),))} = {w2}"
+    if kind == "commute":
+        return f"commute ({g}, {h})", f"rels {g} {h} = {h} {g}"
+    if kind == "pin":
+        q = draw(st.integers(1, 8))
+        values = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=2))
+        text = f"pin {g}: " + ", ".join(f"{k}/{q}" for k in values)
+        return text, text
+    return f"mark {g}", f"mark {g}"
+
+
+def _engine_outcome(engine_type, p):
+    engine = engine_type(p)
+    try:
+        engine.run()
+    except forcing.Inconsistent as exc:
+        return str(exc)
+    return engine.state, engine.entries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_statements(), min_size=3, max_size=8))
+def test_relation_spellings_agree_on_random_presentations(stmts):
+    head = "gens " + ", ".join(_GENS) + "\n"
+    sugar = parse_presentation(head + "\n".join(a for a, _ in stmts))
+    spelled = parse_presentation(head + "\n".join(b for _, b in stmts))
+    assert sugar == spelled
+    assert parse_presentation(print_presentation(sugar)) == sugar
+    assert _outcome(sugar) == _outcome(spelled)
+    assert _engine_outcome(forcing._Engine, sugar) == _engine_outcome(_SevenBlockEngine, sugar)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,14 @@ def test_triangle_group_rep_rejects_spherical():
         triangle_group_rep(2, 3, 6)  # euclidean
 
 
+@pytest.mark.parametrize("orders", [(2, 3, -5), (1, 3, 7), (2, 0, 7)])
+def test_triangle_group_rep_rejects_orders_below_two(orders):
+    # 1/2 + 1/3 + 1/-5 >= 1 was once the reason given for (2, 3, -5)
+    with pytest.raises(ValueError, match="^triangle orders must be at least 2") as ei:
+        triangle_group_rep(*orders)
+    assert type(ei.value) is ValueError
+
+
 def test_torsion_orders_in_representation():
     A, B, C = triangle_group_rep(2, 3, 7)
     pow_a = A @ A

@@ -109,6 +109,28 @@ def test_plus_l_undefined_outside_domain():
         plus_l(0.25, 0.35, 9.0)
 
 
+@pytest.mark.parametrize("fn", [plus_l, plus_l_oracle])
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((math.nan, 0.1, 0.0), "t1"),
+        ((0.1, math.inf, 0.5), "t2"),
+        ((0.1, 0.2, math.nan), "l"),
+        ((0.1, 0.2, -math.inf), "l"),
+    ],
+)
+def test_plus_l_rejects_non_finite_arguments(fn, args, name):
+    # NaN once came back as the angle 0.0
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("l, theta, name", [(math.nan, 0.25, "l"), (math.inf, 0.25, "l"), (1.0, math.inf, "theta")])
+def test_domain_interval_rejects_non_finite_arguments(l, theta, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {theta if name == 'theta' else l}"):
+        domain_interval(l, theta)
+
+
 def test_plus_l_oracle_identity_composition():
     # theta and its mirror compose to the identity at l = 0
     v = plus_l_oracle(0.3, 0.7, 0.0)

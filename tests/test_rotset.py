@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotforce import rotset
-from rotforce.rotset import RotSet, rotset_intersect, rotset_symmetrize, rotset_union
+from rotforce import forcing, rotset
+from rotforce.rotset import RotSet
 
 F = Fraction
 
@@ -92,8 +92,8 @@ def test_exact_and_float_interop():
 def test_union_and_intersect_basics():
     a = RotSet.from_intervals([(F(1, 10), F(3, 10))])
     b = RotSet.from_intervals([(F(2, 10), F(4, 10))])
-    u = rotset_union(a, b)
-    i = rotset_intersect(a, b)
+    u = a.union(b)
+    i = a.intersect(b)
     assert u.contains(F(1, 10)) and u.contains(F(4, 10))
     assert i.contains(F(25, 100))
     assert not i.contains(F(35, 100))
@@ -175,9 +175,12 @@ def test_subset_random_properties():
 
 
 def test_symmetrize_helper():
-    s = rotset_symmetrize([(F(1, 8), F(1, 4))])
-    assert s == RotSet.from_intervals([(F(1, 8), F(1, 4))])
+    # from_intervals is the one name for symmetrizing arcs
+    s = RotSet.from_intervals([(F(1, 8), F(1, 4))])
+    assert s == RotSet.build(points=[0], intervals=[(F(1, 8), F(1, 4)), (F(3, 4), F(7, 8))])
     assert s.contains(F(3, 4))
+    aliases = ("rotset_union", "rotset_intersect", "rotset_symmetrize")
+    assert not any(hasattr(module, name) for module in (rotset, forcing) for name in aliases)
 
 
 def test_to_json_and_str_formats():
