@@ -28,12 +28,23 @@ from .moebius import CLASS_TOL, HPoint, MoebiusReal, elliptic_rotation_number, r
 __all__ = ["main"]
 
 
-def _angle_arg(text: str):
-    """'p/q' becomes an exact Angle; anything else parses as a float."""
+def _angle_arg(name: str, text: str):
+    """'p/q' becomes an exact Angle; anything else parses as a float.
+
+    Text that is no number, a zero denominator, NaN and the infinities
+    raise ValueError naming the argument and its text."""
     text = text.strip()
-    if "/" in text:
-        return rotarith.Angle(exact=Fraction(text))
-    return rotarith.Angle(float(text))
+    try:
+        value = Fraction(text) if "/" in text else float(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a number") from None
+    except ZeroDivisionError:
+        value = math.inf
+    if isinstance(value, Fraction):
+        return rotarith.Angle(exact=value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {text!r} is not a finite number")
+    return rotarith.Angle(value)
 
 
 def _emit(payload: dict, args) -> None:
@@ -55,7 +66,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
-    """A system file's document, refusing NaN, Infinity and numbers past float range."""
+    """A JSON input file's document (a system or a map), refusing NaN, Infinity and numbers past float range."""
     def finite(tok: str) -> float:
         if not math.isfinite(v := float(tok)):
             raise ValueError(f"{path}: {tok} is not a finite number")
@@ -91,7 +102,7 @@ def _map_from_spec(spec: dict) -> circledyn.CircleMap:
 
 
 def _load_map(path: str) -> circledyn.CircleMap:
-    return _map_from_spec(json.loads(_read_text(path)))
+    return _map_from_spec(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def _cmd_rotnum(args) -> None:
 
 
 def _cmd_addl(args) -> None:
-    t1, t2 = _angle_arg(args.t1), _angle_arg(args.t2)
+    t1, t2 = _angle_arg("t1", args.t1), _angle_arg("t2", args.t2)
     value = rotarith.plus_l(t1, t2, args.l)
     oracle = rotarith.plus_l_oracle(t1, t2, args.l)
     gap = abs(circledyn.circ_dist(value.value, 0.0) - circledyn.circ_dist(oracle.value, 0.0))
@@ -151,11 +162,9 @@ def _parse_expr(node, variables) -> rotarith.Expr:
         if node in variables:
             return rotarith.Var(node)
         try:
-            return rotarith.Const(_angle_arg(node))
-        except ValueError:
-            raise ValueError(
-                f"{node!r} is neither a number nor a declared variable ({', '.join(variables)})"
-            ) from None
+            return rotarith.Const(_angle_arg("constant", node))
+        except ValueError as exc:
+            raise ValueError(f"{exc}, nor a declared variable ({', '.join(variables)})") from None
     if isinstance(node, (int, float)):
         return rotarith.Const(rotarith.Angle(float(node)))
     if isinstance(node, dict) and "plus_l" in node:
@@ -249,7 +258,7 @@ def _cmd_quat(args) -> None:
         if admissible:
             try:
                 entry["trace_embedding"] = float(np.trace(quatalg.embed_unramified(alg, x)))
-                entry["rotation_number"] = quatalg.arithmetic_rotation_number(alg, x).value
+                entry["rotation_number"] = quatalg.arithmetic_rotation_number(alg, x, norm=nm).value
             except (quatalg.NotNormOne, moebius.NotElliptic) as exc:
                 entry["rotation_number"] = None
                 entry["reason"] = type(exc).__name__
@@ -262,8 +271,7 @@ def _cmd_quat(args) -> None:
         for _ in range(args.samples):
             coords = [alg.field.from_rational(Fraction(int(c))) for c in rng.integers(-5, 6, size=4)]
             x = alg.elem(*coords)
-            tr, _ = quatalg.quat_trace_norm(alg, x)
-            sigma_tr = alg.field.approx_at(tr, quatalg._unramified_place(alg))
+            sigma_tr = alg.field.approx_at(alg.trace(x), quatalg._unramified_place(alg))
             worst = max(worst, abs(float(np.trace(quatalg.embed_unramified(alg, x))) - sigma_tr))
         out["trace_check"] = {"samples": args.samples, "max_deviation": worst, "tolerance": 1e-10}
     _emit(out, args)
@@ -318,7 +326,7 @@ def _cmd_triangle(args) -> None:
 
 
 def _cmd_denjoy(args) -> None:
-    theta = _angle_arg(args.theta)
+    theta = _angle_arg("--theta", args.theta)
     gen = rotation_about(HPoint(0.0, 1.0), theta.value)
     layout = circledyn.denjoy_layout([gen], args.seed_point, depth=args.depth)
     est = circledyn.rotation_number(layout.maps[0], args.iters)

@@ -186,40 +186,44 @@ class NumberField:
     def _enclosures(self, e: "FieldElem", place: int):
         """Exact enclosures (lo, hi) of the image of ``e`` at the place, each
         from an interval 2**_STEP_BITS times narrower than the one before,
-        until _REFINE_CAP halvings are spent.  A rational root gives lo == hi."""
+        until _REFINE_CAP halvings are spent.
+
+        Callers answer rational elements from their constant, so a root
+        reached here is irrational (a field of degree 1 has only rational
+        elements) and its interval never closes to a point."""
         iv = self._intervals[place]
         for step in range(_REFINE_CAP // _STEP_BITS + 1):
             if step:
                 iv = iv.refine(iv.width() / 2**_STEP_BITS)
                 self._intervals[place] = iv
-            if iv.lo == iv.hi:
-                v = pr.eval_at(e.coeffs, iv.lo)
-                yield v, v
-                return
             yield pr.eval_interval(e.coeffs, iv.lo, iv.hi)
 
     def sign_at(self, e: "FieldElem", place: int) -> int:
-        """Certified sign of the image of ``e`` under the given real embedding."""
-        if not e.coeffs:
-            return 0
+        """Certified sign of the image of ``e`` under the given real embedding.
+
+        A rational element is its own image, so its sign is read off the
+        constant.  Any other element has an irrational, so non-zero, image."""
+        if e.is_rational():
+            c = e.as_rational()
+            return (c > 0) - (c < 0)
         for lo, hi in self._enclosures(e, place):
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if lo == hi:
-                return 0
         raise SignUndecidable(f"value straddles 0 after {_REFINE_CAP} refinements")
 
     def approx_at(self, e: "FieldElem", place: int) -> float:
         """The image of ``e`` under the given real embedding, correctly rounded.
 
-        Returns the float to which both ends of an exact enclosure round.
-        A rational value is enclosed exactly; an element outside Q has an
-        irrational image at every place, which a narrow enough enclosure
-        separates from every rounding boundary.  So the result does not
-        depend on how far the place has been refined before.
+        A rational element is its own image: its constant, rounded.  Any
+        other element has an irrational image at every place, which a narrow
+        enough enclosure separates from every rounding boundary; the result
+        is the float to which both ends of that enclosure round, so it does
+        not depend on how far the place has been refined before.
         """
+        if e.is_rational():
+            return float(e.as_rational())
         for lo, hi in self._enclosures(e, place):
             flo = float(lo)
             if flo == float(hi):
@@ -407,6 +411,20 @@ class QuatAlgebra:
             a, b = b, a
         return place, swap, math.sqrt(f.approx_at(a, place)), f.approx_at(b, place)
 
+    @cached_property
+    def _basis_products(self) -> tuple[tuple[tuple[int, object], ...], ...]:
+        """Row r, column s: (t, c) with e_r e_s = c e_t for the basis
+        e_0..e_3 = 1, i, j, k; c is 1, -1 or one of the field elements
+        a, -a, b, -b, -a b.  Computed once per algebra, with a b formed once."""
+        a, b = self.a, self.b
+        ab = a * b
+        return (
+            ((0, 1), (1, 1), (2, 1), (3, 1)),
+            ((1, 1), (0, a), (3, 1), (2, a)),
+            ((2, 1), (3, -1), (0, b), (1, -b)),
+            ((3, 1), (2, -a), (1, b), (0, -ab)),
+        )
+
     # -- constructors
 
     def scalar(self, x) -> QuatElem:
@@ -448,15 +466,19 @@ class QuatAlgebra:
         return QuatElem(*(-u for u in x.coords()))
 
     def mul(self, x: QuatElem, y: QuatElem) -> QuatElem:
-        a, b = self.a, self.b
-        x0, x1, x2, x3 = x.coords()
-        y0, y1, y2, y3 = y.coords()
-        return QuatElem(
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        )
+        """x y, one field product per pair of non-zero coordinates (and one
+        more when the pair's basis product carries a, b or a b)."""
+        out = [None] * 4
+        for u, row in zip(x.coords(), self._basis_products):
+            if u.is_zero():
+                continue
+            for v, (t, c) in zip(y.coords(), row):
+                if v.is_zero():
+                    continue
+                term = u * v if c == 1 else -(u * v) if c == -1 else c * u * v
+                out[t] = term if out[t] is None else out[t] + term
+        z = self.field.zero()
+        return QuatElem(*(z if w is None else w for w in out))
 
     def pow(self, x: QuatElem, n: int) -> QuatElem:
         if n < 0:
@@ -470,8 +492,14 @@ class QuatAlgebra:
         return x.x0 + x.x0
 
     def norm(self, x: QuatElem) -> FieldElem:
-        a, b = self.a, self.b
-        return x.x0 * x.x0 - a * x.x1 * x.x1 - b * x.x2 * x.x2 + a * b * x.x3 * x.x3
+        """x0^2 - a x1^2 - b x2^2 + a b x3^2: x0^2 less c x_r^2 for each basis
+        square e_r e_r = c (r = 1, 2, 3), skipping zero coordinates."""
+        out = None
+        for r, (u, row) in enumerate(zip(x.coords(), self._basis_products)):
+            if not u.is_zero():
+                term = u * u if r == 0 else -row[r][1] * u * u
+                out = term if out is None else out + term
+        return self.field.zero() if out is None else out
 
 
 def quat_trace_norm(algebra: QuatAlgebra, x: QuatElem) -> tuple[FieldElem, FieldElem]:
@@ -520,14 +548,16 @@ def embed_psl2(algebra: QuatAlgebra, x: QuatElem) -> MoebiusReal:
     return MoebiusReal(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
-def arithmetic_rotation_number(algebra: QuatAlgebra, q: QuatElem) -> Angle:
+def arithmetic_rotation_number(algebra: QuatAlgebra, q: QuatElem, norm: FieldElem | None = None) -> Angle:
     """Rotation number arccos(trace/2)/pi of a norm-one elliptic element
     through the unramified place.  Norm is checked exactly; ellipticity
     (|trace| < 2 at the place) is certified by interval refinement.
+    ``norm`` is q's reduced norm when the caller has already computed it.
     """
     f = algebra.field
-    if algebra.norm(q) != f.one():
-        raise NotNormOne(f"norm is {algebra.norm(q)}, not 1")
+    nm = algebra.norm(q) if norm is None else norm
+    if nm != f.one():
+        raise NotNormOne(f"norm is {nm}, not 1")
     place = _unramified_place(algebra)
     tr = algebra.trace(q)
     if not (f.sign_at(tr - 2, place) < 0 < f.sign_at(tr + 2, place)):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rotforce import cli, forcing
+from rotforce import circledyn, cli, forcing
+from rotforce.moebius import MoebiusReal
 
 TRIANGLE_COVER = """
 gens A, B, C
@@ -89,12 +90,16 @@ def test_rotnum_billion_iterations_without_a_rotation(tmp_path, capsys, matrix):
     ],
 )
 def test_rotnum_rejects_non_finite_breakpoints(tmp_path, capsys, xs, ys, message):
-    # Python's json reads NaN and Infinity
+    # the map file is refused at its first non-finite token, naming the file;
+    # the constructor, reached by library callers, keeps its own check
     path = tmp_path / "m.json"
     path.write_text(f'{{"type": "pl", "xs": {xs}, "ys": {ys}}}')
     code, out, err = run(capsys, ["rotnum", "--map", str(path)])
-    assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: piecewise-linear map: {message}"]
+    token = "NaN" if "NaN" in xs + ys else "Infinity"
+    assert (code, out, err) == (1, "", f"error: {path}: {token} is not a finite number\n")
+    with pytest.raises(ValueError) as ei:
+        circledyn.PiecewiseLinear(json.loads(xs), json.loads(ys))
+    assert str(ei.value) == f"piecewise-linear map: {message}"
 
 
 @pytest.mark.parametrize(
@@ -108,14 +113,21 @@ def test_rotnum_rejects_non_finite_breakpoints(tmp_path, capsys, xs, ys, message
     ],
 )
 def test_rotnum_rejects_non_finite_matrix(tmp_path, capsys, matrix, det):
-    # these once printed "rotation_number": NaN and exited 0
+    # these once printed "rotation_number": NaN and exited 0.  A non-finite
+    # token is refused with the file; finite entries reach the constructor
     path = tmp_path / "m.json"
     path.write_text(f'{{"type": "moebius", "matrix": {matrix}}}')
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["rotnum", "--map", str(path)])
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: requires a finite positive determinant, got {det}"]
+    token = next((t for t in ("NaN", "Infinity") if t in matrix), None)
+    if token:
+        assert err.splitlines() == [f"error: {path}: {token} is not a finite number"]
+    else:
+        assert err.splitlines() == [f"error: requires a finite positive determinant, got {det}"]
+    with pytest.raises(ValueError, match=f"^requires a finite positive determinant, got {det}$"):
+        MoebiusReal(*(float(v) for row in json.loads(matrix) for v in row))
 
 
 def test_rotnum_word_map(tmp_path, capsys):
@@ -476,6 +488,12 @@ def test_triangle_rep(capsys):
         (["triangle", "2", "3", "-5"], "triangle orders must be at least 2, got 2, 3, -5"),
         (["euler-feasible", "--sig", "0;2,3,7", "--degree", "168", "--cover-chi", "-4", "--fix", "1/2,1/0"],
          "--fix value '1/0' is not a rational number"),
+        # angles: "inf" once reached plus_l as NaN, and "nan" blamed the determinant
+        (["addl", "inf", "0.2"], "t1 'inf' is not a finite number"),
+        (["addl", "0.2", "1/0"], "t2 '1/0' is not a finite number"),
+        (["addl", "0.2", "half"], "t2 'half' is not a number"),
+        (["denjoy", "--theta", "nan"], "--theta 'nan' is not a finite number"),
+        (["denjoy", "--theta", "1/0"], "--theta '1/0' is not a finite number"),
     ],
 )
 def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
@@ -498,6 +516,35 @@ def test_solve_file_rejects_non_finite_numbers(tmp_path, capsys, system, token):
     path = tmp_path / "sys.json"
     path.write_text(system)
     code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: {token} is not a finite number\n")
+
+
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        # these once ended in "no isolated root ..." and "Fraction(1, 0)"
+        ("nan", "constant 'nan' is not a finite number, nor a declared variable (t)"),
+        ("1/0", "constant '1/0' is not a finite number, nor a declared variable (t)"),
+        ("s", "constant 's' is not a number, nor a declared variable (t)"),
+    ],
+)
+def test_solve_rejects_non_finite_constants(tmp_path, capsys, constant, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"variables": ["t"], "equations": [["t", constant]]}))
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, token", [
+    ('{"type": "rotation", "theta": Infinity}', "Infinity"),
+    ('{"type": "word", "letters": [{"type": "rotation", "theta": -Infinity}]}', "-Infinity"),
+    ('{"type": "rotation", "theta": 1e999}', "1e999"),
+])
+def test_map_file_rejects_non_finite_numbers(tmp_path, capsys, spec, token):
+    # the rotation case once exited with "math domain error", naming neither file nor field
+    path = tmp_path / "m.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, ["rotnum", "--map", str(path)])
     assert (code, out, err) == (1, "", f"error: {path}: {token} is not a finite number\n")
 
 

@@ -1,6 +1,7 @@
 """Tests for exact real-root machinery, totally real fields, quaternion
 algebras, their archimedean ramification, and arithmetic rotation numbers."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotforce.polyroots as pr
+from rotforce import cli
 from rotforce.moebius import NotElliptic, elliptic_rotation_number
 from rotforce.quatalg import (
+    FieldElem,
     NumberField,
     NotAdmissible,
     NotIrreducible,
     NotNormOne,
     NotTotallyReal,
     QuatAlgebra,
+    QuatElem,
     Ramification,
     UnsupportedDegree,
     arithmetic_rotation_number,
@@ -584,3 +588,148 @@ def test_field_create_isolates_roots_once(monkeypatch):
     with pytest.raises(NotTotallyReal, match="^1 real roots for degree 3$"):
         field_create("x^3 - x - 1")
     assert chains[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# sparse quaternion products against the former dense formulas
+
+
+def _dense_mul(self, x: QuatElem, y: QuatElem) -> QuatElem:
+    a, b = self.a, self.b
+    x0, x1, x2, x3 = x.coords()
+    y0, y1, y2, y3 = y.coords()
+    return QuatElem(
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def _dense_norm(self, x: QuatElem) -> FieldElem:
+    a, b = self.a, self.b
+    return x.x0 * x.x0 - a * x.x1 * x.x1 - b * x.x2 * x.x2 + a * b * x.x3 * x.x3
+
+
+# one field of each degree 1..4
+PRODUCT_FIELDS = ["x", "x^2 - 5", "x^3 - 3*x + 1", "x^4 - 5*x^2 + 5"]
+_small = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _algebra_and_elements(draw):
+    """An algebra (a, b / F) with a, b of any sign, and three elements whose
+    coordinates are zero about half the time."""
+    field = field_create(draw(st.sampled_from(PRODUCT_FIELDS)))
+    coeffs = st.lists(_small, min_size=field.degree, max_size=field.degree)
+    nonzero = coeffs.map(field.elem).filter(lambda e: not e.is_zero())
+    coordinate = st.booleans().flatmap(lambda zero: st.just(field.zero()) if zero else coeffs.map(field.elem))
+    alg = QuatAlgebra(field=field, a=draw(nonzero), b=draw(nonzero))
+    return alg, [QuatElem(*draw(st.lists(coordinate, min_size=4, max_size=4))) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_algebra_and_elements(), st.integers(0, 5))
+def test_sparse_products_match_dense_formulas(case, n):
+    alg, (x, y, z) = case
+    assert alg.mul(x, y) == _dense_mul(alg, x, y)
+    assert alg.mul(alg.mul(x, y), z) == _dense_mul(alg, _dense_mul(alg, x, y), z)
+    assert alg.norm(x) == _dense_norm(alg, x)
+    power = alg.one()
+    for _ in range(n):
+        power = _dense_mul(alg, power, x)
+    assert alg.pow(x, n) == power
+
+
+# every rational kind the fast path must answer as the first enclosure did:
+# zero, small values of both signs, one whose float is subnormal, one past
+# float range
+RATIONALS = [F(0), F(1, 3), F(-1, 3), F(1, 10**310), F(-7, 2 * 10**310), F(10**400), F(-(10**400))]
+
+
+@pytest.mark.parametrize("text", ["x + 3", *PRODUCT_FIELDS])
+def test_rational_elements_answer_from_their_constant(text):
+    field = field_create(text)
+    for place in range(field.degree):
+        for c in RATIONALS:
+            e = field.from_rational(c)
+            before = field.embeddings
+            iv = before[place]
+            lo, hi = pr.eval_interval(e.coeffs, iv.lo, iv.hi)  # the first enclosure
+            assert lo == hi == c
+            assert field.sign_at(e, place) == (1 if lo > 0 else -1 if hi < 0 else 0)
+            if abs(c) < 10**300:
+                assert field.approx_at(e, place) == float(lo) == float(hi)
+                assert math.copysign(1.0, field.approx_at(e, place)) == math.copysign(1.0, float(lo))
+            else:
+                with pytest.raises(OverflowError):
+                    field.approx_at(e, place)
+            assert field.embeddings == before  # no refinement
+
+
+def test_rational_fast_path_takes_no_enclosure(monkeypatch):
+    field = field_create("x^3 - 3*x + 1")
+    entered = _count_calls(monkeypatch, NumberField, "_enclosures")
+    for place in range(3):
+        assert field.sign_at(field.from_rational(F(-2, 7)), place) == -1
+        assert field.approx_at(field.from_rational(F(5, 4)), place) == 1.25
+    assert entered[0] == 0
+    assert field.sign_at(field.gen(), 2) == 1 and entered[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# work counts of exact products and norms
+
+# the arithmetic benchmark workload's degree-4 spec for seed 1
+QUARTIC_SPEC = """field: x^4 - 5*x^2 + 5
+a: (-3/2) + (1)*t
+b: (-3)
+elem q: ((1) + (-1)*t + (-3)*t^2 + (1)*t^3) + ((-3) + (1)*t + (-3)*t^2 + (3)*t^3)*i + ((5) + (-1)*t + (2)*t^2 + (4)*t^3)*j + ((-5) + (3)*t + (3)*t^2 + (1)*t^3)*k
+elem u: ((-9237621882115/9434767240441) + (60605029128/9434767240441)*t + (61625169946/9434767240441)*t^2 + (-61021588744/9434767240441)*t^3) + ((518846753182/9434767240441) + (-389983021676/9434767240441)*t + (73933139502/9434767240441)*t^2 + (-36391709136/9434767240441)*t^3)*i + ((-1094279017730/9434767240441) + (-452714852616/9434767240441)*t + (268940121108/9434767240441)*t^2 + (12448581084/9434767240441)*t^3)*j + ((124556036530/9434767240441) + (-511193079932/9434767240441)*t + (-49317200390/9434767240441)*t^2 + (85651468352/9434767240441)*t^3)*k
+"""
+
+
+def test_spec_parse_field_product_count(monkeypatch):
+    # 89 field products; with the dense 16-term product this spec took 2,066
+    products = _count_calls(monkeypatch, FieldElem, "__mul__")
+    spec = parse_algebra_spec(QUARTIC_SPEC)
+    assert products[0] <= 111, products[0]
+    assert spec.algebra.norm(spec.elements["u"]) == spec.algebra.field.one()
+
+
+def test_quat_analyze_computes_each_norm_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "alg.txt"
+    path.write_text(QUARTIC_SPEC)
+    norms = _count_calls(monkeypatch, QuatAlgebra, "norm")
+    assert cli.main(["quat", "analyze", str(path), "--samples", "100", "--seed", "7"]) == 0
+    assert norms[0] == 2  # q and u; the trace check takes no norm
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["elements"]["q"]["reason"] == "NotNormOne"
+    assert doc["elements"]["u"]["norm"] == "1"
+
+
+def test_not_norm_one_message_reuses_the_norm(monkeypatch):
+    alg = _algebra_sqrt2()
+    norms = _count_calls(monkeypatch, QuatAlgebra, "norm")
+    with pytest.raises(NotNormOne, match=r"^norm is 4, not 1$"):
+        arithmetic_rotation_number(alg, alg.elem(2))
+    assert norms[0] == 1
+    with pytest.raises(NotNormOne, match=r"^norm is 4, not 1$"):
+        arithmetic_rotation_number(alg, alg.elem(2), norm=alg.field.from_rational(4))
+    assert norms[0] == 1
+
+
+README_SPEC = "field: x^2 - 2\na: t\nb: -1\nelem u: (t/2) + (t/2)*j\n"
+
+
+@pytest.mark.parametrize("spec", [README_SPEC, QUARTIC_SPEC], ids=["readme", "quartic"])
+def test_quat_analyze_bytes_match_dense_products(monkeypatch, tmp_path, capsys, spec):
+    path = tmp_path / "alg.txt"
+    path.write_text(spec)
+    argv = ["quat", "analyze", str(path), "--samples", "100", "--seed", "7"]
+    assert cli.main(argv) == 0
+    sparse = capsys.readouterr().out
+    monkeypatch.setattr(QuatAlgebra, "mul", _dense_mul)
+    monkeypatch.setattr(QuatAlgebra, "norm", _dense_norm)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == sparse
