@@ -10,7 +10,9 @@ path for piecewise-linear maps and words, and the test oracle for
 matrices.  The two primitive map kinds supply their steps here: the
 projective action of determinant-one matrices (:func:`rp1`) and
 piecewise-linear maps evaluated from an extended breakpoint table
-(:func:`pl_table`, :func:`pl_eval`).
+(:func:`pl_table`, :func:`pl_eval`).  Every circle point a module
+returns or stores is folded onto [0, 1) here, by :func:`unit` for
+arrays and :func:`unit_float` for one float.
 
 A matrix M takes no orbit (:func:`moebius_lift_totals`).  The total is
 ``frac`` plus whole turns.  ``frac`` = f^n(x) - x is read off
@@ -90,6 +92,12 @@ def unit(x):
     return x - (x >= 1.0)
 
 
+def unit_float(x: float) -> float:
+    """Scalar twin of :func:`unit` for one Python float."""
+    x %= 1.0
+    return 0.0 if x == 1.0 else x
+
+
 def rp1(a, b, c, d, t):
     """Projective action of [[a, b], [c, d]] on RP^1 coordinates, elementwise.
 
@@ -109,7 +117,7 @@ def elliptic_rotation_numbers(a, c, d):
     """
     half = (a + d) / 2.0
     s = np.sqrt((1.0 - half) * (1.0 + half))
-    return (np.arctan2(np.copysign(s, c), half) / np.pi) % 1.0
+    return unit(np.arctan2(np.copysign(s, c), half) / np.pi)
 
 
 def elliptic_lift_totals(a, b, c, d, n: int):
@@ -172,6 +180,7 @@ def _fixed_point_totals(a, b, c, d, n: int):
     # and either may be 0, so add them facing the same way
     ev = np.copysign(1.0 + u, half)
     side = np.copysign(1.0, b * (ev - d) + (ev - a) * c)
+    # not folded by unit: a p that rounds up to 1.0 lies within rounding of 0 beside f0, where k is 0
     p = np.arctan2(ev - a + side * c, b + side * (ev - d)) / np.pi % 1.0
     f0 = rp1(a, b, c, d, 0.0)
     k = p < f0  # F(p) = p + k, so G = F - k fixes every lift of every fixed point

@@ -133,17 +133,16 @@ class PiecewiseLinear(CircleMap):
 
     @classmethod
     def rotation(cls, theta: float) -> "PiecewiseLinear":
-        return cls([0.0], [theta % 1.0])
+        return cls([0.0], [_kernels.unit_float(theta)])
 
     def __call__(self, t: float) -> float:
-        y = _kernels.pl_eval(self._xe, self._ye, t % 1.0) % 1.0
-        return 0.0 if y == 1.0 else y  # a tiny negative lift value rounds to 1.0
+        return _kernels.unit_float(_kernels.pl_eval(self._xe, self._ye, t % 1.0))
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         return _kernels.unit(np.interp(np.asarray(ts, dtype=float) % 1.0, self._xe, self._ye))
 
     def inverse(self) -> "PiecewiseLinear":
-        us = self.ys % 1.0
+        us = _kernels.unit(self.ys)
         vs = self.xs - (self.ys - us)  # lift drops by the same integer
         order = np.argsort(us)
         return PiecewiseLinear(us[order], vs[order])
@@ -239,7 +238,7 @@ class RotationEstimate:
 
 
 def _estimate_from_total(total: float, n: int) -> RotationEstimate:
-    return RotationEstimate(value=(total / n) % 1.0, iterations=n, error_bound=2.0 / n)
+    return RotationEstimate(value=_kernels.unit_float(total / n), iterations=n, error_bound=2.0 / n)
 
 
 def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
@@ -321,7 +320,7 @@ class DenjoyLayout:
 
     def collapse(self, y: float) -> float:
         """Monotone left inverse of the blow-up: squash gaps back to points."""
-        y = y % 1.0
+        y = _kernels.unit_float(y)
         scale = 1.0 - self.total_weight
         acc = 0.0
         for e in self.entries:  # built in position order
@@ -335,7 +334,7 @@ class DenjoyLayout:
 
     def expand(self, x: float) -> float:
         """Image of a non-orbit point; orbit points map to their gap's left end."""
-        x = x % 1.0
+        x = _kernels.unit_float(x)
         scale = 1.0 - self.total_weight
         acc = sum(e.weight for e in self.entries if e.position < x)
         return scale * x + acc
@@ -390,7 +389,7 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
     gens = [m if isinstance(m, MoebiusOnRP1) else MoebiusOnRP1(m) for m in generators]
     if not gens:
         return DenjoyLayout(entries=(), total_weight=0.0, maps=())
-    seed = orbit_seed % 1.0
+    seed = _kernels.unit_float(orbit_seed)
     n = len(gens)
     acts = [f for g in gens for f in (g, g.inverse())]
     letters = [(i, s) for i in range(n) for s in (1, -1)]

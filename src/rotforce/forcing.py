@@ -26,13 +26,14 @@ import bisect
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import circledyn
+from ._kernels import unit_float
 from .circledyn import CircleMap, circ_dist
 from .eulerorb import OrbifoldSig, check_manifold_cover, lifted_euler_ranges
 from .rotarith import domain_interval, wrap_diff
@@ -607,7 +608,7 @@ def _euler_rule(ob: OrbifoldData, state: Mapping[str, RotSet]) -> list[tuple[str
     return [(g, RotSet.from_points(projections[slot])) for g, slot in ob.cone_map]
 
 
-def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
+def _rules(p: Presentation) -> list[_Rule]:
     """The presentation's rule instances, mined in one pass over the relators,
     each side merged once, and listed in firing order: pins; R1-R3 (m rot(g) =
     k rot(h) from relators whose sides reduce to pure powers); R4 (a^i b^j =
@@ -625,8 +626,7 @@ def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
             return [(g, total.scale_preimage(m))]
         return _Rule(rule, premise, tuple(h for h, _ in terms), derive)
 
-    rules = [fixed("pin", f"pin {g}", g, RotSet.from_points, values)
-             for g, values in list(p.pins) + sorted(extra_pins.items())]
+    rules = [fixed("pin", f"pin {g}", g, RotSet.from_points, values) for g, values in p.pins]
     # R5 rules; R4 candidates (a^i b^j, c^k, relator), kept once a and b are known to commute
     torsion, products, commuting = [], [], set()
     for lhs, rhs in p.relators:
@@ -670,11 +670,11 @@ def _rules(p: Presentation, extra_pins: Mapping[str, tuple]) -> list[_Rule]:
 
 
 class _Engine:
-    def __init__(self, p: Presentation, extra_pins: Mapping[str, tuple] | None = None):
+    def __init__(self, p: Presentation):
         self.state: dict[str, RotSet] = {g: RotSet.full() for g in p.generators}
         self.entries: list[CertEntry] = []
         self.last_fact: dict[str, str] = {g: f"init {g}" for g in p.generators}
-        self.rules = _rules(p, extra_pins or {})
+        self.rules = _rules(p)
         self.derived_from: dict[int, tuple[str, ...]] = {}  # rule index -> cited facts it last derived from
 
     def update(self, rule: str, g: str, s: RotSet, premises: tuple[str, ...]) -> bool:
@@ -729,8 +729,8 @@ def propagate(p: Presentation) -> PropagationResult:
         branches: dict[str, dict[str, RotSet]] = {}
         for k in range(d.order):
             v = Fraction(k, d.order)
-            controls = {g: (Fraction(0),) for g in d.controls} if v == 0 else {}
-            sub = _Engine(p, extra_pins={d.name: (v,)} | controls)
+            pins = {d.name: (v,)} | {g: (Fraction(0),) for g in d.controls if v == 0}
+            sub = _Engine(replace(p, pins=p.pins + tuple(sorted(pins.items()))))
             sub.run()
             branches[str(v)] = {g: sub.state[g] for g in p.marked}
         dials[d.name] = branches
@@ -812,15 +812,15 @@ def emit_interval_group(interval) -> Presentation:
     pinned at theta, its conjugate commuting with the marked generator,
     and a hyperbolic pin forcing the product's rotation number to zero).
     """
-    lo = float(interval[0]) % 1.0
-    hi = float(interval[1]) % 1.0
+    lo = unit_float(float(interval[0]))
+    hi = unit_float(float(interval[1]))
     span = (hi - lo) % 1.0
     if span == 0.0 and interval[0] != interval[1]:
         raise NotRepresentable("full circle cannot be the excluded arc")
     # the arc may not contain 0: the excluded set of theta +_l never does
     if lo == 0.0 or hi == 0.0 or lo > hi:
         raise NotRepresentable("arc containing 0 cannot be the excluded arc")
-    c = (lo + span / 2) % 1.0
+    c = unit_float(lo + span / 2)
     w = span / 2
     big_r = 1.0 / math.cos(math.pi * w)
     phi = (-math.pi * c) % math.pi

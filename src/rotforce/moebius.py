@@ -22,6 +22,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._kernels import unit_float
+
 CLASS_TOL = 1e-9
 _SIGN_TOL = 1e-14
 
@@ -173,8 +175,7 @@ class MoebiusReal:
         """Action on the circle coordinate t in [0, 1)."""
         ct = math.cos(math.pi * t)
         st = math.sin(math.pi * t)
-        x = (math.atan2(self.c * ct + self.d * st, self.a * ct + self.b * st) / math.pi) % 1.0
-        return 0.0 if x == 1.0 else x  # a tiny negative angle rounds to 1.0
+        return unit_float(math.atan2(self.c * ct + self.d * st, self.a * ct + self.b * st) / math.pi)
 
     # -- serialization ------------------------------------------------------
 
@@ -262,7 +263,7 @@ def elliptic_rotation_number(m: MoebiusReal) -> float:
         raise NotElliptic(f"|trace| = {abs(m.trace)} is not < 2")
     s = math.sqrt((1.0 - half) * (1.0 + half))  # no cancellation near |half| = 1
     phi = math.atan2(s if m.c > 0 else -s, half)
-    return (phi / math.pi) % 1.0
+    return unit_float(phi / math.pi)
 
 
 def rotation_about(p: HPoint, theta: float) -> MoebiusReal:

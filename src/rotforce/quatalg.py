@@ -164,7 +164,10 @@ class NumberField:
     # -- elements
 
     def elem(self, coeffs: Sequence) -> "FieldElem":
-        c = pr.poly(coeffs)
+        return self._reduced(pr.poly(coeffs))
+
+    def _reduced(self, c: pr.Coeffs) -> "FieldElem":
+        """The element of a trimmed Fraction tuple, reduced mod the minimal polynomial."""
         if pr.degree(c) >= self.degree:
             c = pr.divmod_poly(c, self.minpoly)[1]
         return FieldElem(self, c)
@@ -179,7 +182,7 @@ class NumberField:
         return self.elem((0, 1))
 
     def from_rational(self, x) -> "FieldElem":
-        return self.elem((Fraction(x),))
+        return self.elem((x,))
 
     # -- certified signs and approximation
 
@@ -283,14 +286,14 @@ class FieldElem:
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         return self.field.from_rational(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return self.field.elem(pr.add(self.coeffs, o.coeffs))
+        # a sum of reduced elements is reduced, and pr.add trims it
+        return FieldElem(self.field, pr.add(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -304,8 +307,7 @@ class FieldElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return self.field.elem(pr.mul(self.coeffs, o.coeffs))
+        return self.field._reduced(pr.mul(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -321,11 +323,10 @@ class FieldElem:
             s0, s1 = s1, pr.sub(s0, pr.mul(q, s1))
         if pr.degree(r0) != 0:
             raise ZeroDivisionError("element shares a factor with the minimal polynomial")
-        return self.field.elem(pr.scale(s0, 1 / r0[0]))
+        return self.field._reduced(pr.scale(s0, 1 / r0[0]))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

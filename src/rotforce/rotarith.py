@@ -23,6 +23,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from ._kernels import unit, unit_float
 from .circledyn import circ_dist, in_arc  # noqa: F401 -- circ_dist stays importable from here
 from .moebius import HPoint, IsometryClass, elliptic_rotation_number, rotation_about
 
@@ -66,7 +67,7 @@ class Angle:
         elif self.value is None:
             raise ValueError("Angle needs a float value or an exact rational")
         else:
-            object.__setattr__(self, "value", float(self.value) % 1.0)
+            object.__setattr__(self, "value", unit_float(float(self.value)))
 
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "Angle":
@@ -78,7 +79,7 @@ class Angle:
     def mirrored(self) -> "Angle":
         if self.exact is not None:
             return Angle(exact=-self.exact)
-        return Angle(value=(-self.value) % 1.0)
+        return Angle(value=-self.value)
 
     def __str__(self) -> str:
         if self.exact is not None:
@@ -90,9 +91,7 @@ AngleLike = Union[Angle, float, int, Fraction]
 
 
 def _as_float(t: AngleLike) -> float:
-    if isinstance(t, Angle):
-        return t.value
-    return float(t) % 1.0
+    return unit_float(float(t))
 
 
 def _check_finite(**args: AngleLike) -> None:
@@ -173,8 +172,7 @@ def plus_l_signed_array(t1, t2, l: float):
     sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
     # not np.copysign: an exactly cancelled low of +0.0 takes the negative sine
     theta = np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi
-    theta = theta - np.floor(theta)
-    return np.where(np.abs(arg) <= 1.0, theta, np.nan)
+    return np.where(np.abs(arg) <= 1.0, unit(theta), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +222,9 @@ def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     r = math.hypot(big_a, big_b)
     center = -math.atan2(big_b, big_a) / math.pi  # complement midpoint: |argument| peaks here
     if r <= 1.0 + 1e-15:
-        return DomainInterval(lo=center % 1.0, hi=center % 1.0, l=l, theta=t)
+        return DomainInterval(lo=unit_float(center), hi=unit_float(center), l=l, theta=t)
     half = math.acos(1.0 / r) / math.pi
-    return DomainInterval(lo=(center + half) % 1.0, hi=(center - half) % 1.0, l=l, theta=t)
+    return DomainInterval(lo=unit_float(center + half), hi=unit_float(center - half), l=l, theta=t)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,7 @@ def _variables_in(expr: Expr) -> set[str]:
 
 def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.ndarray | None:
     """Damped Gauss-Newton on the wrapped residual vector; None if it fails."""
-    x = np.array(start, dtype=float) % 1.0
+    x = unit(np.array(start, dtype=float))
     for _ in range(60):
         r0 = _residuals_at(system, x)
         if r0 is None:
@@ -382,7 +380,7 @@ def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.
         if not np.all(np.isfinite(step)):
             return None
         step = np.clip(step, -0.05, 0.05)
-        x = (x + step) % 1.0
+        x = unit(x + step)
         if np.max(np.abs(step)) < refine_tol / 16 and _rho(system, x) <= refine_tol:
             return x
     return x if _rho(system, x) <= refine_tol else None
@@ -532,7 +530,7 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
             for axis in range(d):
                 for s in (-1.0, 1.0):
                     probe = r.copy()
-                    probe[axis] = (probe[axis] + s * radius) % 1.0
+                    probe[axis] = unit_float(probe[axis] + s * radius)
                     if _rho(system, probe) <= 10 * refine_tol:
                         ring_ok = False
             if ring_ok:

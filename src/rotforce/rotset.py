@@ -27,27 +27,18 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
+from ._kernels import unit_float
 from .circledyn import circ_dist, in_arc
 
 Endpoint = Union[Fraction, float]
 
 
-def _in_unit(v: Fraction) -> bool:
-    return 0 <= v.numerator < v.denominator
-
-
 def _coerce(v) -> Endpoint:
-    if type(v) is Fraction and _in_unit(v):
+    if type(v) is Fraction and 0 <= v.numerator < v.denominator:
         return v
     if isinstance(v, (Fraction, int)):
         return Fraction(v) % 1
-    return float(v) % 1.0  # also turns -0.0 into 0.0
-
-
-def _mod1(v: Endpoint) -> Endpoint:
-    if type(v) is Fraction and _in_unit(v):
-        return v
-    return v % 1 if isinstance(v, Fraction) else v % 1.0
+    return unit_float(float(v))  # also turns -0.0 into 0.0
 
 
 def _fmt(v: Endpoint) -> str:
@@ -109,9 +100,9 @@ class RotSet:
         arcs: list[tuple[Endpoint, Endpoint]] = []
 
         def add_point(v):
-            v = _mod1(_coerce(v))
+            v = _coerce(v)
             pts.append(v)
-            pts.append(_mod1(1 - v))
+            pts.append(_coerce(1 - v))
 
         def add_arc(lo, hi):
             if hi - lo >= 1:  # a full turn or more: the whole circle
@@ -121,7 +112,7 @@ class RotSet:
             if lo == hi:
                 add_point(lo)
                 return
-            for a, b in ((lo, hi), (_mod1(1 - hi), _mod1(1 - lo))):
+            for a, b in ((lo, hi), (_coerce(1 - hi), _coerce(1 - lo))):
                 if a == b:  # a float arc so short that its mirror rounds to a point
                     pts.append(a)
                 elif a < b:
@@ -193,7 +184,7 @@ class RotSet:
     def contains(self, x, tol: float = 0.0) -> bool:
         # The exact test comes first: mixing tol into the arithmetic would
         # promote Fraction endpoints to floats and lose endpoint hits.
-        x = _mod1(_coerce(x))
+        x = _coerce(x)
         pts, arcs = self.points, self.intervals
         i = bisect_left(pts, x)
         if i < len(pts) and pts[i] == x:
@@ -273,7 +264,7 @@ class RotSet:
         for lo, hi in self.intervals:
             if k * (hi - lo) >= 1:
                 return RotSet.full()
-            arcs.append((_mod1(k * lo), _mod1(k * lo) + k * (hi - lo)))
+            arcs.append((_coerce(k * lo), _coerce(k * lo) + k * (hi - lo)))
         return RotSet.build(points=pts, intervals=arcs)
 
     def scale_preimage(self, m: int) -> "RotSet":
@@ -306,15 +297,15 @@ class RotSet:
         arcs = []
         for lo, hi in self.intervals:
             for q in other.points:
-                arcs.append((_mod1(lo + q), _mod1(lo + q) + (hi - lo)))
+                arcs.append((_coerce(lo + q), _coerce(lo + q) + (hi - lo)))
             for blo, bhi in other.intervals:
                 span = (hi - lo) + (bhi - blo)
                 if span >= 1:
                     return RotSet.full()
-                arcs.append((_mod1(lo + blo), _mod1(lo + blo) + span))
+                arcs.append((_coerce(lo + blo), _coerce(lo + blo) + span))
         for p in self.points:
             for blo, bhi in other.intervals:
-                arcs.append((_mod1(blo + p), _mod1(blo + p) + (bhi - blo)))
+                arcs.append((_coerce(blo + p), _coerce(blo + p) + (bhi - blo)))
         return RotSet.build(points=pts, intervals=arcs)
 
     # -- serialization -----------------------------------------------------

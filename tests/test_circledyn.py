@@ -31,6 +31,8 @@ from rotforce.circledyn import (
     rotation_numbers,
 )
 from rotforce.moebius import HPoint, MoebiusReal, elliptic_rotation_number, rotation_about, triangle_group_rep
+from rotforce.rotarith import Angle, domain_interval, plus_l, plus_l_signed_array
+from rotforce.rotset import RotSet
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -319,12 +321,33 @@ def test_circle_coordinates_fold_one_to_zero():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.sampled_from([0.0, -1e-17, -5e-324, 1.0, 1 - 2**-53]))
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -1e-17, -5e-324, 1.0, 1 - 2**-53, -1.0, 2.0, -3, 4]),
+)
 def test_circle_coordinates_lie_in_unit_interval(seed, t, edge):
     ts = np.array([t, edge])
     for f in (_random_rotation(seed), _random_pl(seed)):
         vals = [f(t), f(edge), *f.eval_array(ts)]
         assert all(0.0 <= v < 1.0 for v in vals), (f, vals)
+    # every circle point a result reports or stores, from a rotation by t or edge
+    mats = [rotation_about(HPoint(0.0, 1.0), x) for x in (t, edge)]
+    vals = [e.value for e in rotation_numbers(mats, 64)]
+    maps = [*map(MoebiusOnRP1, mats), PiecewiseLinear.rotation(t), PiecewiseLinear.rotation(edge)]
+    vals += [rotation_number(f, 64).value for f in maps]
+    if circ_dist(t, 0.0) > 1e-3:  # elliptic past CLASS_TOL
+        vals.append(elliptic_rotation_number(MoebiusReal.rotation(math.pi * t)))
+    for x in (t, edge):
+        a = Angle(x)
+        di = domain_interval(1.0, x)
+        vals += [a.value, a.mirrored().value, plus_l(x, edge, 0.0).value, di.lo, di.hi, di.theta]
+    # NaN marks an undefined sum: x + (-x) can round past |argument| = 1
+    vals += [v for v in plus_l_signed_array([t, edge, t, edge], [edge, -edge, -t, t], 0.0) if not np.isnan(v)]
+    s = RotSet.build(points=[t, edge], intervals=[(edge, t)])
+    vals += s.points
+    assert all(0.0 <= v < 1.0 for v in vals), vals
+    assert all(0 <= lo < hi <= 1 for lo, hi in s.intervals), s
 
 
 def test_no_lift_methods_and_no_grid_knob():

@@ -51,6 +51,13 @@ def test_rotnum_rotation_map(tmp_path, capsys):
     assert doc["meta"]["version"]
 
 
+def test_rotnum_tiny_negative_rotation_reads_zero(tmp_path, capsys):
+    # the estimate -1e-17 would print as 1.0 if folded with % 1.0 alone
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"type": "rotation", "theta": -1e-17}))
+    assert run_json(capsys, ["rotnum", "--map", str(path)])["rotation_number"] == 0.0
+
+
 def test_rotnum_billion_iterations_in_closed_form(tmp_path, capsys):
     # the README rotation is elliptic, so its displacement needs no orbit
     path = tmp_path / "rot.json"

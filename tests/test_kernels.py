@@ -112,6 +112,9 @@ def test_mixed_batch_keeps_row_positions(n):
         (1.0, 0.0, 0.0, 1.0),
         (-1.0, 0.0, 0.0, -1.0),
         (-1.0, -0.5, 0.0, -1.0),  # parabolic with trace -2
+        # a dilation turned by about 6e-18: its fixed point's angle rounds up to 1.0 and f(0) is
+        # a tiny positive float, so folding that angle to 0.0 would count a turn per step
+        (2.7301110874739964, 4.41763469241437e-17, 4.41763469241437e-17, 0.36628546163857323),
         # c == 0 and a trace that rounds below 2: no rotation to conjugate to
         (1.0 - 2.0**-52, 3.0, 0.0, 1.0),
         (1.0, -3.0, 0.0, 1.0 - 2.0**-52),

@@ -43,6 +43,14 @@ def test_angle_normalization_and_exactness():
         Angle()
 
 
+def test_tiny_negative_angles_fold_to_zero():
+    # -1e-17 % 1.0 rounds up to 1.0, which is 0 written a second way
+    assert -1e-17 % 1.0 == 1.0
+    assert Angle(-1e-17).value == 0.0
+    assert Angle(1e-17).mirrored().value == 0.0
+    assert domain_interval(1.0, -1e-17).theta == 0.0
+
+
 def test_wrap_diff_and_circ_dist():
     assert wrap_diff(0.1, 0.9) == pytest.approx(0.2)
     assert wrap_diff(0.9, 0.1) == pytest.approx(-0.2)
