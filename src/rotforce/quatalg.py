@@ -116,7 +116,7 @@ def _check_irreducible(p: pr.Coeffs):
         raise NotIrreducible("divisible by x")
     for r in _int_divisors(int(a0)):
         for root in (r, -r):
-            if pr.eval_at(p, Fraction(root)) == 0:
+            if pr.eval_at(p, root) == 0:
                 raise NotIrreducible(f"rational root {root}")
     if d == 4:
         # monic integer quartic with no linear factor: try (x^2+px+q)(x^2+rx+s)
