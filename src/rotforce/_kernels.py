@@ -35,12 +35,18 @@ The turns come from the class of M:
   continuous in n rho and decides no jump, so an orbit that closes up
   cannot drop a turn.  Near |trace| = 2 the conjugacy loses digits, so
   only the turns of this total are kept: total = frac + round(it - frac).
-* Otherwise an eigenvector of M spans a fixed point p of f.  F(p) = p + k
-  with k = [p < f(0)], so k is the translation number of F, and G = F - k
-  fixes every lift of every fixed point.  The G-orbit of x therefore
-  stays between two of them and moves less than a turn, in the direction
-  of sign(G(x) - x): the total is n k plus ``frac`` lifted into [0, 1)
-  or (-1, 0] by that sign.  A step G(x) - x within rounding of 0 has no
+* Otherwise M has a fixed point on the circle.  Up to sign its trace is
+  positive, so its eigenvalues are, and no vector v goes to -v.  Turning
+  each v by the angle from v to Mv, in (-pi, pi), lifts f to a map that
+  fixes every lift of every fixed point.  The canonical lift F is that
+  map plus k turns: k is f(0) - atan2(c, a)/pi for the sign of M with
+  positive trace, rounded to an integer, with f(0) folded as the orbit
+  loop folds it.  No fixed point is compared with f(0), which rounding
+  would decide when both lie within rounding of 0.  G = F - k fixes
+  every lift of every fixed point, so the G-orbit of x stays between two
+  of them and moves less than a turn, in the direction of
+  sign(G(x) - x): the total is n k plus ``frac`` lifted into [0, 1) or
+  (-1, 0] by that sign.  A step G(x) - x within rounding of 0 has no
   sign, and ``frac`` is lifted into [-1/2, 1/2].
 
 Orbits start at the golden section ``ORBIT_START`` = (sqrt 5 - 1)/2, not
@@ -168,7 +174,7 @@ def _rotation_totals(a, b, c, d, n: int):
 
 
 def _fixed_point_totals(a, b, c, d, n: int):
-    """Totals of the other rows, turns from a fixed point on the circle."""
+    """Totals of the other rows, which fix a point of the circle: turns from a lift that fixes it."""
     half = (a + d) / 2.0
     e = np.maximum(np.abs(half) - 1.0, 0.0)
     u = e + np.sqrt(e) * np.sqrt(np.abs(half) + 1.0)  # |lambda| - 1, lambda the larger eigenvalue
@@ -176,14 +182,11 @@ def _fixed_point_totals(a, b, c, d, n: int):
     # limit s_(n-1)/s_n = (n - 1)/n, as has any tiny theta
     theta = np.log1p(np.maximum(u, 1e-300))
     ratio = np.exp(-theta) * np.expm1(-2.0 * (n - 1) * theta) / np.expm1(-2.0 * n * theta)
-    # a fixed point p: the eigenvectors (b, ev - a) and (ev - d, c) for ev are parallel,
-    # and either may be 0, so add them facing the same way
-    ev = np.copysign(1.0 + u, half)
-    side = np.copysign(1.0, b * (ev - d) + (ev - a) * c)
-    # not folded by unit: a p that rounds up to 1.0 lies within rounding of 0 beside f0, where k is 0
-    p = np.arctan2(ev - a + side * c, b + side * (ev - d)) / np.pi % 1.0
+    # F(0) = f0, folded as the loop folds it, lies k turns above the value at 0 of the lift
+    # that turns each v by the angle from v to Mv (module docstring)
+    sign = np.copysign(1.0, half)  # -M acts as M does; with positive trace no v goes to -v
     f0 = rp1(a, b, c, d, 0.0)
-    k = p < f0  # F(p) = p + k, so G = F - k fixes every lift of every fixed point
+    k = np.rint(f0 - np.arctan2(sign * c, sign * a) / np.pi)  # G = F - k fixes every lift of every fixed point
     f1 = rp1(a, b, c, d, ORBIT_START)
     # the G-orbit moves less than a turn, in the direction of G(x0) - x0; a step
     # within rounding (x0 fixed, as by +-I) is none, so the orbit is taken to stay

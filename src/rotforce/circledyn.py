@@ -190,6 +190,31 @@ class Word(CircleMap):
         return f"Word({len(self.letters)} letters)"
 
 
+_KINDS = (MoebiusOnRP1, PiecewiseLinear)  # the map kinds whose constructors certify them homeomorphisms
+
+
+def _letters(f: CircleMap) -> tuple[CircleMap, ...]:
+    return f.letters if type(f) is Word else (f,)
+
+
+def _exact_inverses(f: CircleMap, g: CircleMap) -> bool:
+    """One map's ``inverse()`` has the other's data bit for bit (matrix entries, or PL xs and ys).
+
+    Maps keep identity equality: an ``__eq__`` would make them unhashable.
+    """
+
+    def data(h):
+        return np.array(h.matrix.entries()).tobytes() if type(h) is MoebiusOnRP1 else h.xs.tobytes() + h.ys.tobytes()
+
+    def inverse_data(h):
+        try:
+            return data(h.inverse())
+        except NotMonotone:  # rounding made two stored images equal: no inverse to compare
+            return None
+
+    return type(f) is type(g) and (inverse_data(f) == data(g) or inverse_data(g) == data(f))
+
+
 def power(f: CircleMap, k: int) -> CircleMap:
     """k-fold composition; negative k composes the inverse."""
     if k == 0:
@@ -211,8 +236,8 @@ def certify_monotone(f: CircleMap) -> None:
     constructors, and a word of them composes homeomorphisms, so those
     are not sampled again.
     """
-    letters = f.letters if type(f) is Word else (f,)
-    if all(type(let) in (MoebiusOnRP1, PiecewiseLinear) for let in letters):
+    letters = _letters(f)
+    if all(type(let) in _KINDS for let in letters):
         return
     ts = np.linspace(0.0, 1.0, MONOTONE_GRID, endpoint=False)
     extra = [let.xs for let in letters if isinstance(let, PiecewiseLinear)]
@@ -244,25 +269,60 @@ def _estimate_from_total(total: float, n: int) -> RotationEstimate:
 def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
     """Poincare estimate: canonical-lift displacement over n iterates.
 
-    The displacement is F^n(x) - x from x = ``_kernels.ORBIT_START``.  A
-    matrix action gets it in closed form, in O(1) for any n
-    (``_kernels.moebius_lift_totals``); piecewise-linear maps and other
-    words iterate n steps.  The reported ``error_bound`` 2/n is the
-    conservative a-priori bound |(lift^n(x) - x)/n - rot(f)| < 2/n valid
-    for every circle homeomorphism and every x, whichever way the
-    displacement was computed.  It bounds the distance to the rotation
-    number of the map as stored: a matrix whose entries were rounded near
-    |trace| = 2 is a different map, and its rotation number may differ
-    from the intended one by far more than 2/n.
+    The displacement is F^n(x) - x from x = ``_kernels.ORBIT_START``.  Each
+    kind of map takes its own path:
+
+    * a matrix action, or a word of them, in closed form, in O(1) for
+      any n (``_kernels.moebius_lift_totals``);
+    * a word of matrices and piecewise-linear maps is first cut down at
+      both ends: while its first and last letters are exact inverses
+      (one's ``inverse()`` has the other's data bit for bit), both go,
+      since the word is conjugate to what remains.  If only matrices
+      remain, or none, the closed form takes over, so h r h^-1 costs
+      what r costs;
+    * a piecewise-linear map, or what remains of such a word, iterates
+      n steps (``_kernels.pl_lift_total`` on its breakpoint table, or
+      ``_kernels.lift_total`` calling the word letter by letter);
+    * a map of any other kind, or a word with one, is sampled for
+      monotonicity and iterated by calling it (``_kernels.lift_total``).
+
+    The reported ``error_bound`` 2/n is the conservative a-priori bound
+    |(lift^n(x) - x)/n - rot(f)| < 2/n valid for every circle
+    homeomorphism and every x, whichever way the displacement was
+    computed.  It bounds the distance to the rotation number of the map
+    as stored: a matrix whose entries were rounded near |trace| = 2 is a
+    different map, and its rotation number may differ from the intended
+    one by far more than 2/n.  Likewise a cut-down word: the bound is for
+    the word whose cancelled letters are exact inverses, and
+    ``h.inverse()`` inverts a piecewise-linear h only up to the rounding
+    of its breakpoint table.
     """
     if n <= 0:
         raise ValueError("iteration count must be positive")
-    if (m := f.as_moebius()) is not None:
+    g = _conjugate_core(f)
+    if (m := g.as_moebius()) is not None:
         return _estimate_from_total(float(_kernels.moebius_lift_totals([m.entries()], n)[0]), n)
-    certify_monotone(f)
-    if isinstance(f, PiecewiseLinear):
-        return _estimate_from_total(_kernels.pl_lift_total(f.xs, f.ys, n), n)
-    return _estimate_from_total(_kernels.lift_total(f, n, _kernels.ORBIT_START), n)
+    certify_monotone(g)
+    if isinstance(g, PiecewiseLinear):
+        return _estimate_from_total(_kernels.pl_lift_total(g.xs, g.ys, n), n)
+    return _estimate_from_total(_kernels.lift_total(g, n, _kernels.ORBIT_START), n)
+
+
+def _conjugate_core(f: CircleMap) -> CircleMap:
+    """f without the exact inverse pairs at both ends of its word.
+
+    f itself when nothing cancels or a letter is of another kind, a lone
+    letter when one is left, else a word of what is left.
+    """
+    letters = _letters(f)
+    if not all(type(let) in _KINDS for let in letters):
+        return f
+    i, j = 0, len(letters)
+    while j - i > 1 and _exact_inverses(letters[i], letters[j - 1]):
+        i, j = i + 1, j - 1
+    if j - i == len(letters):
+        return f
+    return letters[i] if j - i == 1 else Word(letters[i:j])
 
 
 def rotation_numbers(mats: Sequence[MoebiusReal], n: int) -> list[RotationEstimate]:

@@ -116,12 +116,16 @@ def test_single_batch_and_word_loop_agree():
     batch = rotation_numbers([m for _, m in rots], n)
     for (theta, m), est in zip(rots, batch):
         single = rotation_number(MoebiusOnRP1(m), n)
-        # a non-matrix letter sends these through the generic per-step loop
+        # a piecewise-linear letter sends these through the letter-by-letter loop
         plain = rotation_number(Word([PiecewiseLinear.rotation(0.0), MoebiusOnRP1(m)]), n)
+        # h and its inverse cancel, so this takes the closed form; the letter-by-letter
+        # loop still steps through the whole word
         conj = rotation_number(Word([h, MoebiusOnRP1(m), h.inverse()]), n)
+        looped = _kernels.lift_total(Word([h, MoebiusOnRP1(m), h.inverse()]), n, _kernels.ORBIT_START) / n
         assert circ_dist(single.value, est.value) < 1e-9
         assert circ_dist(plain.value, est.value) < 1e-9
         assert circ_dist(conj.value, theta) <= conj.error_bound
+        assert circ_dist(conj.value, looped % 1.0) <= 4.0 / n
 
 
 def test_piecewise_linear_rotation():
@@ -185,6 +189,87 @@ def test_known_kinds_are_not_sampled_again(monkeypatch):
     # a word with any other letter is sampled as a whole
     certify_monotone(Word([pl, _Shift()]))
     assert sampled[0] is Word and set(sampled[1:]) == {_Shift, PiecewiseLinear}
+
+
+def _spy_loops(monkeypatch):
+    """Record the name of each orbit loop entered, in order; pl_lift_total runs lift_total."""
+    calls = []
+    for name in ("lift_total", "pl_lift_total"):
+
+        def spy(*args, name=name, original=getattr(_kernels, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    return calls
+
+
+def test_conjugating_letters_cancel_before_any_loop(monkeypatch):
+    n = 2000
+    h = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    g = PiecewiseLinear([0.1, 0.45, 0.8], [0.3, 0.5, 1.2])
+    r = MoebiusOnRP1(rotation_about(HPoint(0.4, 1.3), 0.3))
+    a = MoebiusOnRP1(MoebiusReal(1.5, 0.25, -0.4, 0.6))
+    pl = PiecewiseLinear([0.0, 0.37], [0.21, 0.66])
+    want, want_pl = rotation_number(r, n), rotation_number(pl, n)
+    calls = _spy_loops(monkeypatch)
+    assert rotation_number(Word([h, r, h.inverse()]), n) == want
+    # either letter may be the one built by inverse()
+    assert rotation_number(Word([h.inverse(), r, h]), n) == want
+    assert rotation_number(Word([g, h, r, h.inverse(), g.inverse()]), n) == want
+    assert rotation_number(Word([h, h.inverse()]), n).value == 0.0
+    assert rotation_number(Word([g, h, h.inverse(), g.inverse()]), n).value == 0.0
+    assert calls == []
+    # a matrix inverse pair around a piecewise-linear letter leaves that letter's loop
+    assert rotation_number(Word([a, pl, a.inverse()]), n) == want_pl
+    assert rotation_number(Word([a, r, pl, r.inverse(), a.inverse()]), n) == want_pl
+    assert calls == ["pl_lift_total", "lift_total"] * 2
+
+
+def test_inexact_inverse_does_not_cancel(monkeypatch):
+    n = 500
+    h = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    r = MoebiusOnRP1(rotation_about(HPoint(0.4, 1.3), 0.3))
+    inv = h.inverse()
+    xs = inv.xs.copy()
+    xs[1] = np.nextafter(xs[1], 1.0)
+    near = PiecewiseLinear(xs, inv.ys)
+    w = Word([h, r, near])
+    looped = _kernels.unit_float(_kernels.lift_total(w, n, _kernels.ORBIT_START) / n)
+    calls = _spy_loops(monkeypatch)
+    assert rotation_number(w, n).value == looped
+    assert calls == ["lift_total"]
+
+
+def test_letter_without_an_inverse_table_does_not_cancel(monkeypatch):
+    # the stored ys shift up by one and round to [1.0, 1.0], so inverse() raises
+    n = 500
+    h = PiecewiseLinear([0.0, 0.5], [-1e-20, 0.0])
+    with pytest.raises(NotMonotone):
+        h.inverse()
+    r = MoebiusOnRP1(rotation_about(HPoint(0.4, 1.3), 0.3))
+    w = Word([h, r, h])
+    looped = _kernels.unit_float(_kernels.lift_total(w, n, _kernels.ORBIT_START) / n)
+    calls = _spy_loops(monkeypatch)
+    assert rotation_number(w, n).value == looped
+    assert calls == ["lift_total"]
+
+
+def test_other_letters_keep_the_sampled_loop(monkeypatch):
+    n = 500
+    h = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    w = Word([h, _Shift(), h.inverse()])
+    sampled = []
+
+    def spy(self, ts, original=Word.eval_array):
+        sampled.append(self)
+        return original(self, ts)
+
+    monkeypatch.setattr(Word, "eval_array", spy)
+    calls = _spy_loops(monkeypatch)
+    est = rotation_number(w, n)
+    assert calls == ["lift_total"] and sampled == [w]
+    assert circ_dist(est.value, 0.1) <= est.error_bound
 
 
 def test_word_composition_and_inverse():
@@ -293,6 +378,21 @@ def test_euler_cocycle_matches_former_lift_oracle(f, g):
     # away from a tie f(g(0)) = f(0) on the circle, where rounding decides
     assume(circ_dist(f(g(0.0)), f(0.0)) > 1e-12)
     assert euler_cocycle(f, g) == _former_euler_cocycle(f, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    conj=st.lists(_seeds.map(_random_pl), min_size=1, max_size=3),
+    core=st.one_of(_seeds.map(_random_rotation), _seeds.map(_random_pl)),
+    n=st.integers(1, 500),
+)
+def test_cancelled_estimate_agrees_with_the_loop(conj, core, n):
+    # h.inverse() inverts h only up to rounding, so the looped word is a map
+    # near the conjugate, and both estimates lie within 2/n of its rotation number
+    w = Word([*conj, core, *(h.inverse() for h in reversed(conj))])
+    est = rotation_number(w, n)
+    assert est == rotation_number(core, n)
+    assert circ_dist(est.value, _kernels.lift_total(w, n, _kernels.ORBIT_START) / n % 1.0) <= 4.0 / n
 
 
 def test_euler_cocycle_where_zero_maps_to_one():

@@ -231,3 +231,47 @@ def test_estimates_near_and_past_the_band(kind, v, size, g, sign, n):
     est = rotation_number(MoebiusOnRP1(MoebiusReal(*row)), n)
     assert est.iterations == n and est.error_bound == 2.0 / n
     assert circ_dist(est.value, rho) <= est.error_bound
+
+
+def test_fixed_point_turns_match_loop_near_the_diagonal():
+    # a fixed point within rounding of 0, or of 1/2, beside a tiny f(0) of either sign:
+    # comparing the fixed point with f(0) counted a turn per step on 104 of the
+    # 2,100 probes with |a| <= 2, the first one 19.382 against the loop's 0.382
+    (total,) = _kernels.moebius_lift_totals([(2.0, -1e-17, 1e-17, 0.5)], 20)
+    assert abs(total - _kernels.lift_total(MoebiusReal(2.0, -1e-17, 1e-17, 0.5).rp1, 20, _kernels.ORBIT_START)) < 1e-8
+    assert circ_dist(rotation_number(MoebiusOnRP1(MoebiusReal(2.0, -1e-17, 1e-17, 0.5)), 20).value, 0.0) <= 0.1
+    # past |a| = 2 the loop's own orbit rounds onto the attracting fixed point at 0 by n = 20
+    sizes = [s * v for v in (0.3, 0.5, 1.0, 1.25, 1.6, 2.0, 2.5, 5.0) for s in (1.0, -1.0)]
+    offs_b = (0.0, 1e-17, -1e-17, 0.3, -0.3)
+    offs_c = (0.0, 1e-17, -1e-17, -3e-17, -1e-16, -1e-300, -5e-324)
+    probes = 0
+    for a in sizes:
+        for b in offs_b:
+            for c in offs_c:
+                m = MoebiusReal(a, b, c, 1.0 / a)
+                for n in (1, 2, 3, 7, 20) if abs(a) <= 2.0 else (1, 2, 3, 7):
+                    (total,) = _kernels.moebius_lift_totals([m.entries()], n)
+                    assert abs(total - _kernels.lift_total(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, (m, n)
+                    probes += 1
+    assert probes == 2100 + 560
+
+
+@pytest.mark.parametrize("a, d", [(-0.5, 3.0), (3.0, -0.5), (-0.25, 6.0), (6.0, -0.25)])
+@pytest.mark.parametrize("c", [1e-17, -1e-17, 3e-17, -3e-17, 1e-300, -1e-300, 0.01, -0.01, 0.1, -0.1])
+def test_fixed_point_turns_with_opposite_signed_diagonal(a, d, c):
+    # a and d of opposite signs.  MoebiusReal makes a > 0, so a row with a < 0 comes out
+    # with negative trace: atan2(c, a) is taken for -M and lies near +-pi for small c.
+    # For tiny c the sign bit of c decides the turn, but both fixed points and f(0) lie
+    # within rounding of 0, and past one step the loop's orbit is decided by rounding
+    # too.  One step cannot tell k from k - 1, so larger c checks the turns over n steps.
+    m = MoebiusReal(a, (a * d - 1.0) / c, c, d)
+    for n in (1, 2, 3, 7, 20) if abs(c) >= 0.01 else (1,):
+        (total,) = _kernels.moebius_lift_totals([m.entries()], n)
+        assert abs(total - _kernels.lift_total(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, n
+
+
+@pytest.mark.parametrize("row", [(-0.5, -2.5e17, 1e-17, 3.0), (-0.25, -1e17, 2.5e-17, 6.0), (-0.5, -2.5e300, 1e-300, 3.0)])
+def test_fixed_point_turns_of_a_raw_row_with_positive_trace_and_a_below_0(row):
+    # a row not normalised by MoebiusReal: atan2(c, a) itself lies near pi, and rounds to it
+    (total,) = _kernels.moebius_lift_totals([row], 1)
+    assert abs(total - _kernels.lift_total(lambda t: float(_kernels.rp1(*row, t)), 1, _kernels.ORBIT_START)) < 1e-8
