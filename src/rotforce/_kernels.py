@@ -6,13 +6,16 @@ homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
 ``f(t) - t + (f(t) < f(0))`` and n steps telescope to F^n(x) - x.
 :func:`lift_total` takes that sum step by step, on Python floats for one
 orbit or on numpy arrays for a batch of orbits (one per map); it is the
-path for piecewise-linear maps and words, and the test oracle for
-matrices.  The two primitive map kinds supply their steps here: the
-projective action of determinant-one matrices (:func:`rp1`) and
-piecewise-linear maps evaluated from an extended breakpoint table
-(:func:`pl_table`, :func:`pl_eval`).  Every circle point a module
-returns or stores is folded onto [0, 1) here, by :func:`unit` for
-arrays and :func:`unit_float` for one float.
+path for words, and the test oracle for matrices.  A lone
+piecewise-linear map iterates its canonical lift table instead
+(:func:`pl_lift_total`): each step adds F(t) - t read off the table, and
+no turn is decided by comparing two circle points.  The two primitive
+map kinds supply their steps here: the projective action of
+determinant-one matrices (:func:`rp1`) and piecewise-linear maps
+evaluated from an extended breakpoint table (:func:`pl_table`,
+:func:`pl_eval`).  Every circle point a module returns or stores is
+folded onto [0, 1) here, by :func:`unit` for arrays and
+:func:`unit_float` for one float.
 
 A matrix M takes no orbit (:func:`moebius_lift_totals`).  The total is
 ``frac`` plus whole turns.  ``frac`` = f^n(x) - x is read off
@@ -220,6 +223,18 @@ def pl_eval(xe: list[float], ye: list[float], r: float) -> float:
 
 
 def pl_lift_total(xs, ys, n: int) -> float:
-    """Canonical-lift total after n iterations of a piecewise-linear map."""
+    """Canonical-lift total after n iterations of a piecewise-linear map.
+
+    ``ys`` are canonical lift values, as ``PiecewiseLinear`` stores them.
+    Each step adds F(t) - t read off the table, so no turn is counted by
+    comparing circle points: an orbit that creeps up to a fixed point at 0
+    keeps its turns.
+    """
     xe, ye = pl_table(xs, ys)
-    return lift_total(lambda t: pl_eval(xe, ye, t) % 1.0, n, ORBIT_START)
+    t = ORBIT_START
+    total = 0.0
+    for _ in range(n):
+        y = pl_eval(xe, ye, t)
+        total += y - t
+        t = y % 1.0
+    return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class NotMonotone(ValueError):
 
 class StabilizerNotTrivial(ValueError):
     """A word of the bounded ball fixes (or collides at) the blow-up seed."""
-
-
-class GapBudgetExceeded(ValueError):
-    """Requested gap weights sum to at least the whole circle."""
 
 
 def circ_dist(a: float, b: float) -> float:
@@ -281,8 +277,9 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
       remain, or none, the closed form takes over, so h r h^-1 costs
       what r costs;
     * a piecewise-linear map, or what remains of such a word, iterates
-      n steps (``_kernels.pl_lift_total`` on its breakpoint table, or
-      ``_kernels.lift_total`` calling the word letter by letter);
+      n steps: a lone map sums the steps F(t) - t of its canonical lift
+      table (``_kernels.pl_lift_total``), a word calls its letters one by
+      one (``_kernels.lift_total``);
     * a map of any other kind, or a word with one, is sampled for
       monotonicity and iterated by calling it (``_kernels.lift_total``).
 
@@ -375,9 +372,6 @@ class DenjoyLayout:
     total_weight: float
     maps: tuple[PiecewiseLinear, ...]
 
-    def by_word(self) -> dict[tuple, OrbitEntry]:
-        return {e.word: e for e in self.entries}
-
     def collapse(self, y: float) -> float:
         """Monotone left inverse of the blow-up: squash gaps back to points."""
         y = _kernels.unit_float(y)
@@ -400,41 +394,32 @@ class DenjoyLayout:
         return scale * x + acc
 
 
-def default_gap_weights(count: int, scale: float = 0.5) -> list[float]:
-    """scale / ((k+1)(k+2)); sums below ``scale`` for any count."""
-    return [scale / ((k + 1) * (k + 2)) for k in range(count)]
+def default_gap_weights(count: int) -> list[float]:
+    """0.5 / ((k+1)(k+2)) for k < count; sums below 1/2 for any count."""
+    return [0.5 / ((k + 1) * (k + 2)) for k in range(count)]
 
 
-def denjoy_blowup(
-    generators: Sequence[MoebiusReal],
-    orbit_seed: float,
-    gap_weights: Sequence[float] | float | None = None,
-    depth: int = 5,
-) -> list[PiecewiseLinear]:
+def denjoy_blowup(generators: Sequence[MoebiusReal], orbit_seed: float, depth: int = 5) -> list[PiecewiseLinear]:
     """Blow up the word-ball orbit of a seed into gaps; return the induced maps.
 
     Each orbit point of the reduced word ball of radius ``depth`` receives
     a gap; the returned piecewise-linear generator images carry gap onto
     gap affinely wherever the generator stays inside the ball, so the
     original action is recovered on all matched breakpoints by collapsing
-    the gaps.  ``gap_weights`` may be an explicit positive sequence, a
-    scale for the default quadratic-decay weights, or None.
+    the gaps.  The k-th word of the ball (breadth-first) gets the gap
+    weight of :func:`default_gap_weights`, a summable sequence, so the
+    gaps take less than half the circle at any depth.
     """
-    return list(_denjoy_build(generators, orbit_seed, gap_weights, depth).maps)
+    return list(_denjoy_build(generators, orbit_seed, depth).maps)
 
 
-def denjoy_layout(
-    generators: Sequence[MoebiusReal],
-    orbit_seed: float,
-    gap_weights: Sequence[float] | float | None = None,
-    depth: int = 5,
-) -> DenjoyLayout:
+def denjoy_layout(generators: Sequence[MoebiusReal], orbit_seed: float, depth: int = 5) -> DenjoyLayout:
     """The gap allocation used by :func:`denjoy_blowup` with the same arguments,
     carrying the blown-up generators as ``maps``."""
-    return _denjoy_build(generators, orbit_seed, gap_weights, depth)
+    return _denjoy_build(generators, orbit_seed, depth)
 
 
-def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
+def _denjoy_build(generators, orbit_seed, depth) -> DenjoyLayout:
     # The reduced words of length <= depth are indexed breadth-first, then by
     # parent index and letter (letter 2i is generator i, 2i+1 its inverse):
     # word k is letter first[k] times an earlier word.  A reduced word can
@@ -477,17 +462,8 @@ def _denjoy_build(generators, orbit_seed, gap_weights, depth) -> DenjoyLayout:
         if points[v] - points[u] <= 1e-12:
             raise StabilizerNotTrivial("distinct ball words collide at the seed orbit")
 
-    if gap_weights is None:
-        weights = default_gap_weights(len(points))
-    elif isinstance(gap_weights, (int, float)):
-        weights = default_gap_weights(len(points), float(gap_weights))
-    else:
-        weights = [float(w) for w in gap_weights[: len(points)]]
-        if len(weights) < len(points) or any(w <= 0 for w in weights):
-            raise ValueError(f"need {len(points)} positive gap weights")
+    weights = default_gap_weights(len(points))
     total = sum(weights)
-    if total >= 1.0:
-        raise GapBudgetExceeded(f"gap weights sum to {total} >= 1")
     scale = 1.0 - total
 
     entries = []

@@ -238,6 +238,8 @@ def _cmd_euler_feasible(args) -> None:
 
 
 def _cmd_quat(args) -> None:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     spec = quatalg.parse_algebra_spec(_read_text(args.file))
     alg = spec.algebra
     profile = [r.name.lower() for r in quatalg.ramification_profile(alg)]

@@ -87,13 +87,6 @@ def euler_number(n: int, rots: Sequence[Fraction]) -> Fraction:
     return Fraction(n) - sum((Fraction(r) for r in rots), Fraction(0))
 
 
-def lift_euler(e: Fraction, degree: int) -> Fraction:
-    """Euler number of the pullback to a cover of the given degree."""
-    if degree < 1:
-        raise ValueError("cover degree must be positive")
-    return Fraction(e) * degree
-
-
 def milnor_wood_bound(chi: int) -> int:
     """Largest |Euler number| a flat circle bundle over a closed orientable
     surface of Euler characteristic ``chi`` can carry: max(0, -chi)."""

@@ -116,8 +116,8 @@ class GroupWord:
             return cls(())
         letters = []
         for tok in text.split():
-            name, _, exp = tok.partition("^")
-            if not name.isidentifier():
+            name, caret, exp = tok.partition("^")
+            if not name.isidentifier() or (caret and not exp):
                 raise PresentationSyntaxError(f"bad generator token {tok!r}")
             e = _number(exp) if exp else 1
             if e == 0:
@@ -160,10 +160,6 @@ def _stripped_power(merged: list[tuple[str, int]]) -> tuple[str, int] | None:
     while len(merged) >= 3 and merged[0][0] == merged[-1][0] and merged[0][1] == -merged[-1][1]:
         merged = merged[1:-1]
     return merged[0] if len(merged) == 1 else None
-
-
-def _merged_power(w: GroupWord) -> tuple[str, int] | None:
-    return _stripped_power(_merge_adjacent(w.letters))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ Conventions, fixed here and relied on by every downstream module:
 
 from __future__ import annotations
 
-import cmath
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -146,19 +144,16 @@ class MoebiusReal:
     def conjugate_by(self, g: "MoebiusReal") -> "MoebiusReal":
         return g @ self @ g.inverse()
 
-    def close_to(self, other: "MoebiusReal", tol: float = 1e-9) -> bool:
-        return max(abs(x - y) for x, y in zip(self.entries(), other.entries())) <= tol
+    def is_identity(self) -> bool:
+        return max(abs(x - y) for x, y in zip(self.entries(), (1.0, 0.0, 0.0, 1.0))) <= CLASS_TOL
 
-    def is_identity(self, tol: float = CLASS_TOL) -> bool:
-        return self.close_to(MoebiusReal.identity(), tol)
-
-    def classify(self, tol: float = CLASS_TOL) -> IsometryClass:
+    def classify(self) -> IsometryClass:
         t = abs(self.trace)
-        if t < 2.0 - tol:
+        if t < 2.0 - CLASS_TOL:
             return IsometryClass.ELLIPTIC
-        if t > 2.0 + tol:
+        if t > 2.0 + CLASS_TOL:
             return IsometryClass.HYPERBOLIC
-        if self.is_identity(tol):
+        if self.is_identity():
             return IsometryClass.IDENTITY
         return IsometryClass.PARABOLIC
 
@@ -176,74 +171,6 @@ class MoebiusReal:
         ct = math.cos(math.pi * t)
         st = math.sin(math.pi * t)
         return unit_float(math.atan2(self.c * ct + self.d * st, self.a * ct + self.b * st) / math.pi)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps([[repr(self.a), repr(self.b)], [repr(self.c), repr(self.d)]])
-
-    @classmethod
-    def from_json(cls, text: str) -> "MoebiusReal":
-        rows = json.loads(text)
-        return cls(float(rows[0][0]), float(rows[0][1]), float(rows[1][0]), float(rows[1][1]))
-
-
-def _signed_complex(entries):
-    for e in entries:
-        if abs(e) > _SIGN_TOL:
-            if e.real < -_SIGN_TOL or (abs(e.real) <= _SIGN_TOL and e.imag < 0):
-                return tuple(-x for x in entries)
-            break
-    return tuple(entries)
-
-
-@dataclass(frozen=True)
-class MoebiusComplex:
-    """Determinant-one complex 2x2 matrix modulo sign."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det) < _SIGN_TOL:
-            raise ValueError("matrix is singular")
-        s = cmath.sqrt(det)
-        a, b, c, d = _signed_complex((self.a / s, self.b / s, self.c / s, self.d / s))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def from_real(cls, m: MoebiusReal) -> "MoebiusComplex":
-        return cls(complex(m.a), complex(m.b), complex(m.c), complex(m.d))
-
-    @property
-    def trace(self) -> complex:
-        return self.a + self.d
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __matmul__(self, other: "MoebiusComplex") -> "MoebiusComplex":
-        return MoebiusComplex(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusComplex":
-        return MoebiusComplex(self.d, -self.b, -self.c, self.a)
-
-
-def trace_squared(m: MoebiusComplex) -> complex:
-    """Squared trace: well-defined on the sign quotient, constant on conjugacy classes."""
-    t = m.trace
-    return t * t
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class Angle:
         else:
             object.__setattr__(self, "value", unit_float(float(self.value)))
 
-    @classmethod
-    def from_fraction(cls, p: int, q: int) -> "Angle":
-        return cls(exact=Fraction(p, q))
-
     def __float__(self) -> float:
         return self.value
 
@@ -483,7 +479,8 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     memory is a few MiB per equation for any number of variables.
     The roots are deduped, filtered by the constraint arcs, and reported
     each with an isolation radius on which the residual is observed to
-    stay above 10x ``refine_tol``.  A constraint naming no declared
+    stay above 10x ``refine_tol``.  A ``grid`` below 1, a ``refine_tol``
+    that is not finite and positive, or a constraint naming no declared
     variable raises ``ValueError``.  A declared variable that appears in
     no equation, or a polished root where the residual Jacobian has rank
     below the number of variables, raises ``NonDiscrete``: the zero set
@@ -492,6 +489,10 @@ def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1
     d = len(system.variables)
     if not 1 <= d <= 4:
         raise ValueError("between 1 and 4 variables required")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    if not 0 < refine_tol < math.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     if not system.equations:
         raise NonDiscrete("no equations: every point solves the empty system")
     unknown = sorted(set(system.constraints) - set(system.variables))

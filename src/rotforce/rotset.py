@@ -204,9 +204,6 @@ class RotSet:
                 out.append(x)
         return out
 
-    def point_values(self) -> list[Endpoint]:
-        return list(self.points)
-
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "RotSet") -> "RotSet":
@@ -278,9 +275,8 @@ class RotSet:
         pts = []
         arcs = []
         for p in self.points:
-            pf = Fraction(p) if isinstance(p, Fraction) else p
             for j in range(m):
-                pts.append((pf + j) / m)
+                pts.append((p + j) / m)
         for lo, hi in self.intervals:
             for j in range(m):
                 arcs.append(((lo + j) / m, (hi + j) / m))

@@ -509,6 +509,30 @@ def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # --grid -3 once died with a TypeError traceback, --grid 0 with "integer modulo by zero"
+        (["solve", "SYSTEM", "--grid", "-3"], "grid must be at least 1, got -3"),
+        (["solve", "SYSTEM", "--grid", "0"], "grid must be at least 1, got 0"),
+        # -1 and nan once ended in "no isolated root ...", inf printed Infinity into the JSON
+        (["solve", "SYSTEM", "--refine-tol", "-1"], "refine_tol must be finite and > 0, got -1.0"),
+        (["solve", "SYSTEM", "--refine-tol", "nan"], "refine_tol must be finite and > 0, got nan"),
+        (["solve", "SYSTEM", "--refine-tol", "inf"], "refine_tol must be finite and > 0, got inf"),
+        # once reported a trace check over -5 samples
+        (["quat", "analyze", "ALGEBRA", "--samples", "-5"], "--samples must be at least 0, got -5"),
+    ],
+)
+def test_counts_and_tolerances_outside_their_domain_exit_1(tmp_path, capsys, argv, message):
+    files = {"SYSTEM": tmp_path / "sys.json", "ALGEBRA": tmp_path / "alg.txt"}
+    files["SYSTEM"].write_text(
+        json.dumps({"variables": ["t"], "equations": [[{"plus_l": {"l": 0.0, "a": "t", "b": "t"}}, "2/5"]]})
+    )
+    files["ALGEBRA"].write_text(QUAT_SPEC)
+    code, out, err = run(capsys, [str(files.get(a, a)) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "system, token",
     [
         ('{"variables":["t"],"equations":[[{"plus_l":{"l":NaN,"a":"t","b":"t"}},"2/5"]]}', "NaN"),

@@ -24,7 +24,8 @@ from rotforce.forcing import (
     PresentationSyntaxError,
     UnassignedGenerator,
     UnknownGenerator,
-    _merged_power,
+    _merge_adjacent,
+    _stripped_power,
     check_relations,
     emit_interval_group,
     eval_word,
@@ -95,6 +96,9 @@ def test_word_parse_errors():
         GroupWord.parse("3bad")
     with pytest.raises(PresentationSyntaxError):
         GroupWord.parse("A^0")
+    # a dangling caret was once read as exponent 1, so "rels A^ = 1" meant A = 1
+    with pytest.raises(PresentationSyntaxError, match="'A\\^'"):
+        GroupWord.parse("A^")
 
 
 
@@ -106,12 +110,15 @@ def test_word_alias_is_gone():
 
 
 def test_merged_power_reduction():
-    assert _merged_power(GroupWord.parse("A A")) == ("A", 2)
-    assert _merged_power(GroupWord.parse("A^3 A^-1")) == ("A", 2)
-    assert _merged_power(GroupWord.parse("X A^2 X^-1")) == ("A", 2)
-    assert _merged_power(GroupWord.parse("X Y A Y^-1 X^-1")) == ("A", 1)
-    assert _merged_power(GroupWord.parse("A B")) is None
-    assert _merged_power(GroupWord(())) is None
+    for text, power in [
+        ("A A", ("A", 2)),
+        ("A^3 A^-1", ("A", 2)),
+        ("X A^2 X^-1", ("A", 2)),
+        ("X Y A Y^-1 X^-1", ("A", 1)),
+        ("A B", None),
+        ("1", None),
+    ]:
+        assert _stripped_power(_merge_adjacent(GroupWord.parse(text).letters)) == power
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +357,12 @@ def test_unit_tangent_extension_forces_zero():
 def test_triangle_cover_forces_sevenths():
     r = propagate(parse_presentation(TRIANGLE_COVER))
     assert r.marked["C"] == RotSet.from_points([F(1, 7)])
-    assert set(r.marked["C"].point_values()) == {F(0), F(1, 7), F(6, 7)}
+    assert set(r.marked["C"].points) == {F(0), F(1, 7), F(6, 7)}
 
 
 def test_genus_one_cover_forces_two_fifths():
     r = propagate(parse_presentation(GENUS_ONE))
-    assert set(r.marked["alpha"].point_values()) == {F(0), F(2, 5), F(3, 5)}
+    assert set(r.marked["alpha"].points) == {F(0), F(2, 5), F(3, 5)}
 
 
 def test_certificates_replay_and_detect_tampering():
@@ -390,7 +397,7 @@ def test_commuting_product_adds_rotation_numbers():
     )
     r = propagate(p)
     expected = {F(0), F(1, 12), F(1, 6), F(1, 4), F(5, 12), F(7, 12), F(3, 4), F(5, 6), F(11, 12)}
-    assert set(r.marked["c"].point_values()) == expected
+    assert set(r.marked["c"].points) == expected
 
 
 def test_conj_statements_reach_r4_and_r5():
@@ -432,7 +439,7 @@ def test_outputs_always_symmetric_and_contain_zero():
         p = parse_presentation(f"gens g; torsion g:{q}; mark g")
         s = propagate(p).marked["g"]
         assert s.contains(0)
-        for v in s.point_values():
+        for v in s.points:
             assert s.contains(-F(v) % 1)
 
 
@@ -825,7 +832,7 @@ def test_projection_matches_pair_loop_on_random_sets(case):
 def _linear_relations(p):
     out = []
     for lhs, rhs in p.relators:
-        a, b = _merged_power(lhs), _merged_power(rhs)
+        a, b = (_stripped_power(_merge_adjacent(w.letters)) for w in (lhs, rhs))
         if a and b:
             out.append((a[1], a[0], b[1], b[0], f"relator {lhs} = {rhs}"))
     return out
@@ -837,7 +844,7 @@ def _torsion_facts(p):
         for side, other in ((lhs, rhs), (rhs, lhs)):
             if other.letters:
                 continue
-            pw = _merged_power(side)
+            pw = _stripped_power(_merge_adjacent(side.letters))
             if pw and pw[1] != 0:
                 out.append((pw[0], abs(pw[1]), f"relator {lhs} = {rhs}"))
     for d in p.dials:
@@ -854,7 +861,7 @@ def _commuting_products(p):
     out = []
     for lhs, rhs in p.relators:
         for side, other in ((lhs, rhs), (rhs, lhs)):
-            pw = _merged_power(other)
+            pw = _stripped_power(_merge_adjacent(other.letters))
             if pw is None:
                 continue
             merged = forcing._merge_adjacent(side.letters)

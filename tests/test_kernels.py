@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotforce import _kernels
-from rotforce.circledyn import MoebiusOnRP1, circ_dist, rotation_number, rotation_numbers
+from rotforce.circledyn import MoebiusOnRP1, PiecewiseLinear, circ_dist, rotation_number, rotation_numbers
 from rotforce.moebius import (
     HPoint,
     IsometryClass,
@@ -275,3 +275,35 @@ def test_fixed_point_turns_of_a_raw_row_with_positive_trace_and_a_below_0(row):
     # a row not normalised by MoebiusReal: atan2(c, a) itself lies near pi, and rounds to it
     (total,) = _kernels.moebius_lift_totals([row], 1)
     assert abs(total - _kernels.lift_total(lambda t: float(_kernels.rp1(*row, t)), 1, _kernels.ORBIT_START)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear orbits
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_pl_orbit_creeping_up_to_a_fixed_point_at_0_keeps_its_turn(n):
+    # the orbit of x0 rises to 1 and rounds to 1.0, which folds to 0.0: a turn test
+    # against f(0) = 0 once counted none there, giving -0.618 for F^n(x0) - x0 = 0.382
+    f = PiecewiseLinear([0.0, 0.5], [0.0, 0.9])
+    total = _kernels.pl_lift_total(f.xs, f.ys, n)
+    assert total == pytest.approx(1.0 - _kernels.ORBIT_START, abs=1e-12)
+    assert rotation_number(f, n).value == pytest.approx(total / n, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+    st.integers(1, 3000),
+)
+def test_pl_orbit_between_fixed_points_moves_less_than_a_turn(dx, dy, n):
+    # f(0) = 0, so the orbit of x0 stays between two fixed points and moves one way:
+    # the total lies in [0, 1) or (-1, 0] by the sign of the first step
+    k = min(len(dx), len(dy))
+    xs, ys = np.cumsum(dx[:k]) / sum(dx[:k]), np.cumsum(dy[:k]) / sum(dy[:k])
+    f = PiecewiseLinear([0.0, *xs[:-1]], [0.0, *ys[:-1]])
+    total = _kernels.pl_lift_total(f.xs, f.ys, n)
+    assert abs(total) < 1.0
+    first = _kernels.pl_lift_total(f.xs, f.ys, 1)
+    assert total * first >= 0.0

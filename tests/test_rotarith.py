@@ -38,7 +38,7 @@ def test_angle_normalization_and_exactness():
     assert str(a) == "1/4"
     b = Angle(1.25)
     assert abs(b.value - 0.25) < 1e-15 and b.exact is None
-    assert Angle.from_fraction(2, 7).mirrored().exact == Fraction(5, 7)
+    assert Angle(exact=Fraction(2, 7)).mirrored().exact == Fraction(5, 7)
     with pytest.raises(ValueError):
         Angle()
 
