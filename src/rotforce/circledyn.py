@@ -132,7 +132,7 @@ class PiecewiseLinear(CircleMap):
         return cls([0.0], [_kernels.unit_float(theta)])
 
     def __call__(self, t: float) -> float:
-        return _kernels.unit_float(_kernels.pl_eval(self._xe, self._ye, t % 1.0))
+        return _kernels.unit_float(_kernels.pl_eval(self._xe, self._ye, _kernels.unit_float(t)))
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         return _kernels.unit(np.interp(np.asarray(ts, dtype=float) % 1.0, self._xe, self._ye))

@@ -15,7 +15,14 @@ alone is a subset of (1/L)Z/Z, with L the lcm of its denominators, and
 its algebra runs on the integer residues: a sum of sets is a cyclic
 sumset mod L, scaling by k maps r to k*r mod L, the preimage under
 multiplication by m is {r + j*L} over L*m, and intersection is a set
-intersection.
+intersection.  The residues are computed once per set, and exact points
+given to from_points are mirrored and de-duplicated as residues too.
+
+The full circle is one shared instance, returned by full() and by every
+normalization that yields [0, 1] with exact endpoints, so its laws are
+identity tests: its images and preimages under scaling are itself, its
+sum with a set that has arcs or exact points alone is itself (every set
+contains 0), and its intersection with a set without arcs is that set.
 """
 
 from __future__ import annotations
@@ -61,12 +68,20 @@ def _covered(arcs, xs) -> Iterator[bool]:
         yield (k < len(arcs) and arcs[k][0] <= x) or (wraps and x == 0)
 
 
-def _residues(s: RotSet) -> tuple[int, list[int]] | None:
-    """(L, rs) with s.points == (r/L for r in rs), when s is exact points alone."""
-    if s.intervals or any(type(p) is not Fraction for p in s.points):
-        return None
-    den = math.lcm(*(p.denominator for p in s.points))
-    return den, [p.numerator * (den // p.denominator) for p in s.points]
+def _residues(s: RotSet) -> tuple[int, tuple[int, ...]] | None:
+    """(L, rs) with s.points == (r/L for r in rs), when s is exact points alone.
+
+    Computed once per set and kept in its ``__dict__``, outside the
+    dataclass fields, so equality, repr, hash and pickles ignore it.
+    """
+    cache = s.__dict__
+    if "_residues" not in cache:
+        r = None
+        if not s.intervals and all(type(p) is Fraction for p in s.points):
+            den = math.lcm(*(p.denominator for p in s.points))
+            r = den, tuple(p.numerator * (den // p.denominator) for p in s.points)
+        cache["_residues"] = r
+    return cache["_residues"]
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,9 @@ class RotSet:
             else:
                 merged.append([lo, hi])
         arcs_t = tuple((lo, hi) for lo, hi in merged)
+        # float ends compare equal to exact ones, so the types are checked too
+        if arcs_t == _FULL.intervals and type(arcs_t[0][0]) is type(arcs_t[0][1]) is Fraction:
+            return _FULL
 
         uniq: list[Endpoint] = []
         pts = sorted(pts)
@@ -153,12 +171,17 @@ class RotSet:
 
     @classmethod
     def _from_residues(cls, den: int, rs: Iterable[int]) -> "RotSet":
-        """{r/den : r in rs}; rs must contain 0 and be closed under r -> -r mod den."""
-        return cls(points=tuple(Fraction(r, den) for r in sorted(rs)), intervals=())
+        """{r/den : r in rs}; rs must contain 0, lie in [0, den) and be closed
+        under r -> -r mod den.  The result's residue cache is seeded in lowest terms."""
+        rs = sorted(rs)
+        g = math.gcd(den, *rs)
+        s = cls(points=tuple(Fraction(r, den) for r in rs), intervals=())
+        s.__dict__["_residues"] = den // g, tuple(r // g for r in rs)
+        return s
 
     @classmethod
     def full(cls) -> "RotSet":
-        return cls(points=(), intervals=((Fraction(0), Fraction(1)),))
+        return _FULL
 
     @classmethod
     def zero_only(cls) -> "RotSet":
@@ -166,7 +189,14 @@ class RotSet:
 
     @classmethod
     def from_points(cls, points: Iterable) -> "RotSet":
-        return cls.build(points=points)
+        """{0} plus the given points plus their mirror images; exact values are
+        mirrored and de-duplicated as integers mod the lcm of their denominators."""
+        vals = list(points)
+        if not all(type(v) is Fraction or type(v) is int for v in vals):
+            return cls.build(points=vals)
+        den = math.lcm(*(v.denominator for v in vals))
+        rs = {v.numerator * (den // v.denominator) % den for v in vals}
+        return cls._from_residues(den, rs | {-r % den for r in rs} | {0})
 
     @classmethod
     def from_intervals(cls, intervals: Iterable) -> "RotSet":
@@ -213,6 +243,12 @@ class RotSet:
         )
 
     def intersect(self, other: "RotSet") -> "RotSet":
+        # The full circle passes only a set without arcs through as it is: on arcs,
+        # max and min below keep its exact endpoints in place of float ones.
+        if self is _FULL and (other is _FULL or not other.intervals):
+            return other
+        if other is _FULL and not self.intervals:
+            return self
         if (ra := _residues(self)) and (rb := _residues(other)):
             den = math.lcm(ra[0], rb[0])
             theirs = {r * (den // rb[0]) for r in rb[1]}
@@ -253,6 +289,8 @@ class RotSet:
         k = abs(int(k))
         if k == 0:
             return RotSet.zero_only()
+        if self is _FULL:
+            return _FULL
         if r := _residues(self):
             den, rs = r
             return RotSet._from_residues(den, {k * x % den for x in rs})
@@ -269,6 +307,8 @@ class RotSet:
         m = abs(int(m))
         if m == 0:
             raise ValueError("preimage under multiplication by 0")
+        if self is _FULL:
+            return _FULL
         if r := _residues(self):
             den, rs = r
             return RotSet._from_residues(den * m, [x + j * den for j in range(m) for x in rs])
@@ -284,6 +324,13 @@ class RotSet:
 
     def minkowski(self, other: "RotSet") -> "RotSet":
         """Closure of {x + y}; both inputs symmetric, so this is symmetric too."""
+        if self is _FULL or other is _FULL:
+            # The sum is the full circle, as the other side contains 0.  Float
+            # points alone take the general path: their shifted copies of [0, 1]
+            # can round short of a full turn and leave a float endpoint.
+            rest = other if self is _FULL else self
+            if rest.intervals or _residues(rest):
+                return _FULL
         if (ra := _residues(self)) and (rb := _residues(other)):
             den = math.lcm(ra[0], rb[0])
             ys = [y * (den // rb[0]) for y in rb[1]]
@@ -306,6 +353,9 @@ class RotSet:
 
     # -- serialization -----------------------------------------------------
 
+    def __getstate__(self) -> dict:
+        return {"points": self.points, "intervals": self.intervals}  # without the residue cache
+
     def to_json(self) -> dict:
         return {
             "points": [_fmt(p) for p in self.points],
@@ -317,3 +367,5 @@ class RotSet:
         parts += [f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in self.intervals]
         return "{" + ", ".join(parts) + "}"
 
+
+_FULL = RotSet(points=(), intervals=((Fraction(0), Fraction(1)),))

@@ -136,6 +136,15 @@ def test_piecewise_linear_rotation():
     assert circ_dist(est.value, 1.0 / 3.0) <= est.error_bound
 
 
+def test_piecewise_linear_tiny_negative_point_folds_to_0():
+    # -1e-20 % 1.0 rounds up to 1.0, one past the table of a map whose first
+    # breakpoint is 0; the scalar and the array evaluation both read it as 0
+    f = PiecewiseLinear([0.0, 0.5], [0.0, 0.9])
+    ts = [-1e-20, -0.0, 0.0, 1.0, -0.25]
+    assert [f(t) for t in ts] == f.eval_array(ts).tolist()
+    assert f(-1e-20) == 0.0
+
+
 def test_piecewise_linear_rejects_folds_at_construction():
     with pytest.raises(NotMonotone):
         PiecewiseLinear([0.0, 0.25, 0.5, 0.75], [0.1, 0.6, 0.3, 0.9])

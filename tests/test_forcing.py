@@ -1014,6 +1014,19 @@ def test_rule_list_matches_seven_block_engine(monkeypatch):
     assert sum(doc.startswith("Inconsistent") for doc in new) < len(new) // 10
 
 
+def test_engine_output_without_rotset_shortcuts(rotset_shortcuts_off):
+    corpus = _engine_corpus()
+    forcing._multiples.cache_clear()  # its sets come from from_points
+    fast = [_outcome(p) for p in corpus]
+    forcing._multiples.cache_clear()
+    with rotset_shortcuts_off():
+        slow = [_outcome(p) for p in corpus]
+    forcing._multiples.cache_clear()
+    # the JSON lists the certificate, so equal text means equal entries in equal order
+    for p, a, b in zip(corpus, fast, slow):
+        assert a == b, print_presentation(p)
+
+
 _GENS = ("a", "b", "c")
 _words = st.lists(st.tuples(st.sampled_from(_GENS), st.sampled_from((-2, -1, 1, 2, 3))), max_size=2).map(
     lambda letters: GroupWord(tuple(letters))

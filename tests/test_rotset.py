@@ -408,11 +408,15 @@ def test_differential_against_scan_reference():
             assert repr(a.scale_preimage(m)) == repr(_ref_scale_preimage(a, m))
 
 
+def _edge_sets():
+    return [RotSet.from_intervals([(F(1, 10), F(1, 5))]), RotSet.from_intervals([(F(1, 5), F(3, 10))]),
+            RotSet.from_intervals([(0.2, 0.3)]), RotSet.build([F(1, 5), 0.2], [(F(3, 4), 1)]),
+            RotSet.build([0.25], [(0.0, F(1, 8))]), RotSet.from_intervals([(F(7, 8), F(1, 8))]),
+            RotSet.full(), RotSet.zero_only(), RotSet.build(intervals=[(0.0, 1.0)])]
+
+
 def test_differential_edge_cases():
-    touching = [RotSet.from_intervals([(F(1, 10), F(1, 5))]), RotSet.from_intervals([(F(1, 5), F(3, 10))]),
-                RotSet.from_intervals([(0.2, 0.3)]), RotSet.build([F(1, 5), 0.2], [(F(3, 4), 1)]),
-                RotSet.build([0.25], [(0.0, F(1, 8))]), RotSet.from_intervals([(F(7, 8), F(1, 8))]),
-                RotSet.full(), RotSet.zero_only(), RotSet.build(intervals=[(0.0, 1.0)])]
+    touching = _edge_sets()
     for a in touching:
         for b in touching:
             assert repr(a.intersect(b)) == repr(_ref_intersect(a, b)), (a, b)
@@ -431,6 +435,32 @@ def test_differential_edge_cases():
     tiny = RotSet.from_intervals([(1e-20, 2e-20)])
     assert tiny.points == (F(0),) and tiny.intervals == ((1e-20, 2e-20),)
     assert not tiny.is_full() and not tiny.contains(0.5)
+
+
+def _assert_full_laws_match_reference(s):
+    # RotSet.full() and a full set that build normalizes, on either side
+    for full in (RotSet.full(), RotSet.build(intervals=[(0, 1)])):
+        for a, b in ((full, s), (s, full)):
+            assert repr(a.intersect(b)) == repr(_ref_intersect(a, b)), (a, b)
+            assert repr(a.minkowski(b)) == repr(_ref_minkowski(a, b)), (a, b)
+            assert a.is_subset(b) == _ref_is_subset(a, b), (a, b)
+        for k in (0, 1, 2, -3):
+            assert repr(full.scale_image(k)) == repr(_ref_scale_image(full, k))
+        for m in (1, 2, 5):
+            assert repr(full.scale_preimage(m)) == repr(_ref_scale_preimage(full, m))
+
+
+def test_full_set_laws_match_reference_on_edge_sets():
+    float_arcs = RotSet.from_intervals([(0.9, 0.1)])
+    float_points = RotSet.from_points([0.1])
+    for s in _edge_sets() + [float_arcs, float_points, RotSet.from_points([F(1, 3), 2])]:
+        _assert_full_laws_match_reference(s)
+    # intersecting with the full circle puts its exact endpoints on float arcs
+    assert str(float_arcs) == "{[0.0, 0.1], [0.9, 1.0]}"
+    assert str(RotSet.full().intersect(float_arcs)) == "{[0, 0.1], [0.9, 1]}"
+    # a float point's copy of [0, 1] rounds short of a full turn, so the sum keeps a float end
+    assert str(RotSet.full().minkowski(float_points)) == "{[0.0, 1]}"
+    assert RotSet.build(intervals=[(0, 1)]) is RotSet.full() is RotSet.full().scale_preimage(4)
 
 
 def test_contains_is_exact_where_the_scan_rounded():
@@ -506,12 +536,53 @@ def test_scale_image_then_preimage_keeps_every_point(s, k, negate):
 
 
 @SETTINGS
+@given(_sets(_mixed))
+def test_full_set_laws_match_reference(s):
+    _assert_full_laws_match_reference(s)
+
+
+@SETTINGS
 @given(_sets(_exact, max_arcs=0), _sets(_exact, max_arcs=0), st.integers(0, 6), st.integers(1, 4))
-def test_residue_path_equals_merge_path(a, b, k, m):
+def test_residue_path_equals_merge_path(rotset_shortcuts_off, a, b, k, m):
+    full = RotSet.full()
+
     def results():
-        return [a.intersect(b), b.intersect(a), a.minkowski(b), a.scale_image(k), a.scale_preimage(m)]
+        return [
+            a.intersect(b), b.intersect(a), a.minkowski(b), a.scale_image(k), a.scale_preimage(m),
+            full.intersect(a), a.intersect(full), full.minkowski(a), a.minkowski(full),
+            full.scale_image(k), full.scale_preimage(m), RotSet.from_points([k * p - m for p in a.points + b.points]),
+        ]
 
     fast = results()
-    with mock.patch.object(rotset, "_residues", lambda s: None):
+    with mock.patch.object(rotset, "_residues", lambda s: None), rotset_shortcuts_off():
         slow = results()
     assert [repr(x) for x in fast] == [repr(x) for x in slow]
+
+
+_ints = st.integers(-30, 30)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(_ints, _exact), max_size=8), st.lists(st.one_of(_ints, _exact, _mixed), max_size=4))
+def test_from_points_matches_build(exact, mixed):
+    for vals in (exact, exact + exact[:3], exact + mixed):  # repeats, and floats that take build's path
+        # repr spells each endpoint with its type: Fraction(1, 3) or 0.25
+        assert repr(RotSet.from_points(vals)) == repr(RotSet.build(points=vals))
+
+
+@SETTINGS
+@given(_sets(_exact, max_arcs=0), _sets(_exact, max_arcs=0), st.lists(_exact, max_size=4), st.integers(1, 6))
+def test_residue_cache_equals_recomputation(a, b, vals, k):
+    made = []
+    real = RotSet._from_residues.__func__
+
+    def recording(cls, den, rs):
+        made.append(real(cls, den, rs))
+        return made[-1]
+
+    with mock.patch.object(RotSet, "_from_residues", classmethod(recording)):
+        c = RotSet.from_points(vals)
+        c.minkowski(a).scale_preimage(k).intersect(b.scale_image(k)).minkowski(c)
+    assert made
+    for s in made:
+        assert s.__dict__["_residues"] == rotset._residues(RotSet(points=s.points, intervals=s.intervals))
