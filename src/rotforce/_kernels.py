@@ -7,10 +7,10 @@ homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
 :func:`lift_total` takes that sum step by step, on Python floats for one
 orbit or on numpy arrays for a batch of orbits (one per map); it is the
 path for words, and the test oracle for matrices.  A lone
-piecewise-linear map iterates its canonical lift table instead
-(:func:`pl_lift_total`): each step adds F(t) - t read off the table, and
-no turn is decided by comparing two circle points.  The two primitive
-map kinds supply their steps here: the projective action of
+piecewise-linear map iterates the canonical lift table its constructor
+built (:func:`pl_lift_total`): each step adds F(t) - t read off the
+table, and no turn is decided by comparing two circle points.  The two
+primitive map kinds supply their steps here: the projective action of
 determinant-one matrices (:func:`rp1`) and piecewise-linear maps
 evaluated from an extended breakpoint table (:func:`pl_table`,
 :func:`pl_eval`).  Every circle point a module returns or stores is
@@ -222,15 +222,15 @@ def pl_eval(xe: list[float], ye: list[float], r: float) -> float:
     return y0 + (r - x0) * (ye[i + 1] - y0) / (xe[i + 1] - x0)
 
 
-def pl_lift_total(xs, ys, n: int) -> float:
+def pl_lift_total(xe: list[float], ye: list[float], n: int) -> float:
     """Canonical-lift total after n iterations of a piecewise-linear map.
 
-    ``ys`` are canonical lift values, as ``PiecewiseLinear`` stores them.
+    ``xe, ye`` is the map's canonical lift table, :func:`pl_table` of the
+    canonical lift values, as ``PiecewiseLinear`` stores it in ``_xe, _ye``.
     Each step adds F(t) - t read off the table, so no turn is counted by
     comparing circle points: an orbit that creeps up to a fixed point at 0
     keeps its turns.
     """
-    xe, ye = pl_table(xs, ys)
     t = ORBIT_START
     total = 0.0
     for _ in range(n):

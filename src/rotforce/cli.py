@@ -74,6 +74,37 @@ def _read_json(path: str):
     return json.loads(_read_text(path), parse_float=finite, parse_constant=finite)
 
 
+def _key(doc, key: str, path: str, what: str):
+    """``doc[key]`` of a JSON object; ValueError naming the file and the missing key or the shape."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {json.dumps(doc)}")
+    if key not in doc:
+        raise ValueError(f"{path}: {what} has no {key!r} key")
+    return doc[key]
+
+
+def _array(value, path: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def _pair(value, path: str, what: str, shape: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{path}: {what} must be {shape}, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, path: str, what: str) -> float:
+    """A JSON number as a finite float; a string such as "inf" would slip past ``_read_json``'s check."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            raise ValueError(f"{path}: {what} is past float range") from None
+    raise ValueError(f"{path}: {what} must be a number, got {json.dumps(value)}")
+
+
 def _rational(flag: str, tok: str) -> Fraction:
     try:
         return Fraction(tok)
@@ -85,24 +116,27 @@ def _rational(flag: str, tok: str) -> Fraction:
 # map files
 
 
-def _map_from_spec(spec: dict) -> circledyn.CircleMap:
-    kind = spec.get("type")
+def _map_from_spec(spec, path: str) -> circledyn.CircleMap:
+    kind = _key(spec, "type", path, "map")
     if kind == "moebius":
-        (a, b), (c, d) = spec["matrix"]
-        return circledyn.MoebiusOnRP1(MoebiusReal(float(a), float(b), float(c), float(d)))
+        rows = _pair(_key(spec, "matrix", path, "moebius map"), path, "matrix", "[[a, b], [c, d]]")
+        entries = [x for row in rows for x in _pair(row, path, "matrix", "[[a, b], [c, d]]")]
+        return circledyn.MoebiusOnRP1(MoebiusReal(*(_number(x, path, "a matrix entry") for x in entries)))
     if kind == "rotation":
-        return circledyn.MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), float(spec["theta"])))
+        theta = _number(_key(spec, "theta", path, "rotation map"), path, "theta")
+        return circledyn.MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), theta))
     if kind == "pl":
-        return circledyn.PiecewiseLinear(
-            [float(x) for x in spec["xs"]], [float(y) for y in spec["ys"]]
-        )
+        xs, ys = (_array(_key(spec, k, path, "pl map"), path, k) for k in ("xs", "ys"))
+        xs, ys = ([_number(v, path, "a breakpoint") for v in vs] for vs in (xs, ys))
+        return circledyn.PiecewiseLinear(xs, ys)
     if kind == "word":
-        return circledyn.Word([_map_from_spec(s) for s in spec["letters"]])
+        letters = _array(_key(spec, "letters", path, "word map"), path, "letters")
+        return circledyn.Word([_map_from_spec(s, path) for s in letters])
     raise ValueError(f"unknown map type {kind!r} (want moebius, rotation, pl, or word)")
 
 
 def _load_map(path: str) -> circledyn.CircleMap:
-    return _map_from_spec(_read_json(path))
+    return _map_from_spec(_read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +191,7 @@ def _cmd_domain(args) -> None:
     )
 
 
-def _parse_expr(node, variables) -> rotarith.Expr:
+def _parse_expr(node, variables, path: str) -> rotarith.Expr:
     if isinstance(node, str):
         if node in variables:
             return rotarith.Var(node)
@@ -166,24 +200,33 @@ def _parse_expr(node, variables) -> rotarith.Expr:
         except ValueError as exc:
             raise ValueError(f"{exc}, nor a declared variable ({', '.join(variables)})") from None
     if isinstance(node, (int, float)):
-        return rotarith.Const(rotarith.Angle(float(node)))
+        return rotarith.Const(rotarith.Angle(_number(node, path, "a constant")))
     if isinstance(node, dict) and "plus_l" in node:
         body = node["plus_l"]
-        return rotarith.PlusL(
-            l=float(body.get("l", 0.0)),
-            left=_parse_expr(body["a"], variables),
-            right=_parse_expr(body["b"], variables),
-        )
-    raise ValueError(f"bad expression node {node!r}")
+        left, right = (_parse_expr(_key(body, k, path, "plus_l"), variables, path) for k in ("a", "b"))
+        return rotarith.PlusL(l=_number(body.get("l", 0.0), path, "plus_l l"), left=left, right=right)
+    raise ValueError(f"{path}: bad expression node {json.dumps(node)}")
 
 
 def _cmd_solve(args) -> None:
-    doc = _read_json(args.system)
-    variables = list(doc["variables"])
+    path = args.system
+    doc = _read_json(path)
+    variables = _array(_key(doc, "variables", path, "system"), path, "variables")
+    if not all(isinstance(v, str) for v in variables):
+        raise ValueError(f"{path}: variables must be a list of names, got {json.dumps(variables)}")
+    constraints = doc.get("constraints", {})
+    if not isinstance(constraints, dict):
+        raise ValueError(f"{path}: constraints must be a JSON object, got {json.dumps(constraints)}")
     system = rotarith.EquationSystem(
         variables=variables,
-        equations=[(_parse_expr(l, variables), _parse_expr(r, variables)) for l, r in doc["equations"]],
-        constraints={k: (float(v[0]), float(v[1])) for k, v in doc.get("constraints", {}).items()},
+        equations=[
+            tuple(_parse_expr(side, variables, path) for side in _pair(eq, path, "an equation", "[lhs, rhs]"))
+            for eq in _array(_key(doc, "equations", path, "system"), path, "equations")
+        ],
+        constraints={
+            k: tuple(_number(x, path, f"a bound on {k!r}") for x in _pair(v, path, f"constraint {k!r}", "[lo, hi]"))
+            for k, v in constraints.items()
+        },
     )
     sols = rotarith.solve_system(system, grid=args.grid, refine_tol=args.refine_tol)
     _emit(

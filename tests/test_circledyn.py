@@ -145,6 +145,16 @@ def test_piecewise_linear_tiny_negative_point_folds_to_0():
     assert f(-1e-20) == 0.0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-3, 3).filter(bool))
+def test_piecewise_linear_tabulates_its_stored_lift_once(seed, turns):
+    # ys lifted by whole turns are shifted back on construction; evaluation and
+    # orbits read one table, the one built from the stored ys
+    g = _random_pl(seed)
+    f = PiecewiseLinear(g.xs, g.ys + turns)
+    assert (f._xe, f._ye) == _kernels.pl_table(f.xs, f.ys)
+
+
 def test_piecewise_linear_rejects_folds_at_construction():
     with pytest.raises(NotMonotone):
         PiecewiseLinear([0.0, 0.25, 0.5, 0.75], [0.1, 0.6, 0.3, 0.9])
@@ -160,43 +170,49 @@ def test_piecewise_linear_rejects_non_finite_breakpoints():
         PiecewiseLinear([0.1, 0.3, math.inf], [0.2, 0.4, 0.6])
 
 
-class _Fold(CircleMap):
-    def __call__(self, t):
-        return (t + 0.3 * math.sin(4.0 * math.pi * t)) % 1.0
-
-
-def test_certify_monotone_rejects_folding_callable():
-    pl = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
-    for f in (_Fold(), Word([_Fold(), pl]), Word([MoebiusOnRP1(MoebiusReal.rotation(0.3)), _Fold()])):
-        with pytest.raises(NotMonotone):
-            certify_monotone(f)
-        with pytest.raises(NotMonotone):
-            rotation_number(f, 100)
-
-
 class _Shift(CircleMap):
+    """A homeomorphism that no constructor certified."""
+
     def __call__(self, t):
         return (t + 0.1) % 1.0
 
 
-def test_known_kinds_are_not_sampled_again(monkeypatch):
-    sampled = []
-    for cls in (CircleMap, MoebiusOnRP1, PiecewiseLinear, Word):
+class _ShiftedMoebius(MoebiusOnRP1):
+    """A subclass of a certified kind may redefine the map, so it is not certified either."""
 
-        def spy(self, ts, original=cls.eval_array):
-            sampled.append(type(self))
-            return original(self, ts)
+    def __call__(self, t):
+        return (super().__call__(t) + 0.1) % 1.0
 
-        monkeypatch.setattr(cls, "eval_array", spy)
+
+def test_certified_kinds_pass_the_kind_check():
     pl = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
     m = MoebiusOnRP1(MoebiusReal.dilation(0.7))
     denjoy = denjoy_blowup([rotation_about(HPoint(0.0, 1.0), GOLDEN)], 0.1)[0]
     for f in (pl, m, denjoy, Word([]), Word([pl, m, pl.inverse()]), Word([m, Word([denjoy, m])])):
-        certify_monotone(f)
-    assert sampled == []
-    # a word with any other letter is sampled as a whole
-    certify_monotone(Word([pl, _Shift()]))
-    assert sampled[0] is Word and set(sampled[1:]) == {_Shift, PiecewiseLinear}
+        assert certify_monotone(f) is None
+    assert Word([m, Word([denjoy, m])]).letters == (m, denjoy, m)
+
+
+_OTHER_KINDS = [_Shift(), _ShiftedMoebius(MoebiusReal.rotation(0.3)), object(), 0.25, lambda t: t]
+
+
+@pytest.mark.parametrize("other", _OTHER_KINDS, ids=["CircleMap subclass", "kind subclass", "object", "float", "function"])
+def test_maps_of_other_kinds_are_refused(other):
+    pl = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
+    m = MoebiusOnRP1(MoebiusReal.rotation(0.3))
+    calls = [
+        lambda: certify_monotone(other),
+        lambda: rotation_number(other, 100),
+        lambda: euler_cocycle(other, pl),
+        lambda: euler_cocycle(m, other),
+        lambda: Word([other]),
+        lambda: Word([pl, Word([m]), other]),
+        lambda: power(other, -2),
+        lambda: power(other, 0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=type(other).__name__):
+            call()
 
 
 def _spy_loops(monkeypatch):
@@ -261,23 +277,6 @@ def test_letter_without_an_inverse_table_does_not_cancel(monkeypatch):
     calls = _spy_loops(monkeypatch)
     assert rotation_number(w, n).value == looped
     assert calls == ["lift_total"]
-
-
-def test_other_letters_keep_the_sampled_loop(monkeypatch):
-    n = 500
-    h = PiecewiseLinear([0.0, 0.3, 0.55], [0.05, 0.2, 0.7])
-    w = Word([h, _Shift(), h.inverse()])
-    sampled = []
-
-    def spy(self, ts, original=Word.eval_array):
-        sampled.append(self)
-        return original(self, ts)
-
-    monkeypatch.setattr(Word, "eval_array", spy)
-    calls = _spy_loops(monkeypatch)
-    est = rotation_number(w, n)
-    assert calls == ["lift_total"] and sampled == [w]
-    assert circ_dist(est.value, 0.1) <= est.error_bound
 
 
 def test_word_composition_and_inverse():

@@ -579,6 +579,43 @@ def test_map_file_rejects_non_finite_numbers(tmp_path, capsys, spec, token):
     assert (code, out, err) == (1, "", f"error: {path}: {token} is not a finite number\n")
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("rotnum", '{"type":"moebius"}', "moebius map has no 'matrix' key"),
+    ("rotnum", '{"type":"moebius","matrix":5}', "matrix must be [[a, b], [c, d]], got 5"),
+    ("rotnum", '{"type":"moebius","matrix":[[1,0],[0]]}', "matrix must be [[a, b], [c, d]], got [0]"),
+    ("rotnum", '{"type":"pl","xs":5,"ys":5}', "xs must be a list, got 5"),
+    ("rotnum", '{"type":"pl","xs":[0.0],"ys":[{}]}', "a breakpoint must be a number, got {}"),
+    ("rotnum", '{"type":"word","letters":5}', "letters must be a list, got 5"),
+    # a number spelled as a string once slipped past the finite-number check
+    ("rotnum", '{"type":"rotation","theta":"inf"}', 'theta must be a number, got "inf"'),
+    pytest.param("rotnum", '{"type":"pl","xs":[0.0],"ys":[1' + "0" * 400 + ']}', "a breakpoint is past float range",
+                 id="rotnum-huge-int-breakpoint"),
+    ("rotnum", '{"type":"word","letters":[{"type":"rotation"}]}', "rotation map has no 'theta' key"),
+    ("rotnum", "[1,2]", "map must be a JSON object, got [1, 2]"),
+    ("rotnum", '{"type":"word","letters":[{"theta":0.5}]}', "map has no 'type' key"),
+    ("solve", '{"equations":[["t","1/2"]]}', "system has no 'variables' key"),
+    ("solve", "[1]", "system must be a JSON object, got [1]"),
+    ("solve", '{"variables":["t"],"equations":[["t","1/2"]],"constraints":[1]}',
+     "constraints must be a JSON object, got [1]"),
+    ("solve", '{"variables":["t"],"equations":[["t","1/2"]],"constraints":{"t":0.5}}',
+     "constraint 't' must be [lo, hi], got 0.5"),
+    ("solve", '{"variables":["x"],"equations":[[{"plus_l":{"a":"x"}},"1/2"]]}', "plus_l has no 'b' key"),
+    ("solve", '{"variables":["x"],"equations":[[{"plus_l":5},"1/2"]]}', "plus_l must be a JSON object, got 5"),
+    ("solve", '{"variables":["x"],"equations":[["x"]]}', 'an equation must be [lhs, rhs], got ["x"]'),
+    ("solve", '{"variables":"x","equations":[["x","1/2"]]}', 'variables must be a list, got "x"'),
+    pytest.param("solve", '{"variables":["x"],"equations":[["x",1' + "0" * 400 + ']]}', "a constant is past float range",
+                 id="solve-huge-int-constant"),
+])
+def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, command, doc, message):
+    # each of these once ended in a KeyError, TypeError or AttributeError traceback
+    path = tmp_path / "input.json"
+    path.write_text(doc)
+    argv = ["rotnum", "--map", str(path)] if command == "rotnum" else ["solve", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+    assert "Traceback" not in err
+
+
 def _readme_usage_block():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -36,7 +36,7 @@ from rotforce.forcing import (
     propagate,
     replay_certificate,
 )
-from rotforce.circledyn import MoebiusOnRP1
+from rotforce.circledyn import CircleMap, MoebiusOnRP1
 from rotforce.moebius import HPoint, rotation_about, triangle_group_rep
 from rotforce.rotarith import domain_interval
 from rotforce.rotset import RotSet
@@ -319,6 +319,22 @@ def test_check_relations_matches_former_grid_scan():
         flags += [c.passed for c in report.checks]
     assert True in flags and False in flags
     assert list(inspect.signature(check_relations).parameters) == ["p", "assignment"]
+
+
+class _Shift(CircleMap):
+    """A homeomorphism that no constructor certified."""
+
+    def __call__(self, t):
+        return (t + 0.1) % 1.0
+
+
+@pytest.mark.parametrize("other", [_Shift(), object()], ids=["CircleMap subclass", "object"])
+@pytest.mark.parametrize("relator", ["a", "a^-1 b", "b a^2 b^-1"])
+def test_check_relations_refuses_maps_of_other_kinds(other, relator):
+    p = Presentation(generators=("a", "b"), relators=((GroupWord.parse(relator), GroupWord(())),))
+    rep = {"a": other, "b": MoebiusOnRP1(rotation_about(HPoint(0.0, 1.0), 0.3))}
+    with pytest.raises(TypeError, match=type(other).__name__):
+        check_relations(p, rep)
 
 
 def test_check_relations_checks_torsion_and_commute():

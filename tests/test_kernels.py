@@ -286,7 +286,7 @@ def test_pl_orbit_creeping_up_to_a_fixed_point_at_0_keeps_its_turn(n):
     # the orbit of x0 rises to 1 and rounds to 1.0, which folds to 0.0: a turn test
     # against f(0) = 0 once counted none there, giving -0.618 for F^n(x0) - x0 = 0.382
     f = PiecewiseLinear([0.0, 0.5], [0.0, 0.9])
-    total = _kernels.pl_lift_total(f.xs, f.ys, n)
+    total = _kernels.pl_lift_total(f._xe, f._ye, n)
     assert total == pytest.approx(1.0 - _kernels.ORBIT_START, abs=1e-12)
     assert rotation_number(f, n).value == pytest.approx(total / n, rel=1e-12)
 
@@ -303,7 +303,7 @@ def test_pl_orbit_between_fixed_points_moves_less_than_a_turn(dx, dy, n):
     k = min(len(dx), len(dy))
     xs, ys = np.cumsum(dx[:k]) / sum(dx[:k]), np.cumsum(dy[:k]) / sum(dy[:k])
     f = PiecewiseLinear([0.0, *xs[:-1]], [0.0, *ys[:-1]])
-    total = _kernels.pl_lift_total(f.xs, f.ys, n)
+    total = _kernels.pl_lift_total(f._xe, f._ye, n)
     assert abs(total) < 1.0
-    first = _kernels.pl_lift_total(f.xs, f.ys, 1)
+    first = _kernels.pl_lift_total(f._xe, f._ye, 1)
     assert total * first >= 0.0
