@@ -180,10 +180,6 @@ class Word(CircleMap):
         return f"Word({len(self.letters)} letters)"
 
 
-def _letters(f: CircleMap) -> tuple[CircleMap, ...]:
-    return f.letters if type(f) is Word else (f,)
-
-
 def _exact_inverses(f: CircleMap, g: CircleMap) -> bool:
     """One map's ``inverse()`` has the other's data bit for bit (matrix entries, or PL xs and ys).
 
@@ -286,7 +282,7 @@ def _conjugate_core(f: CircleMap) -> CircleMap:
     f itself when nothing cancels, a lone letter when one is left, else a
     word of what is left.
     """
-    letters = _letters(f)
+    letters = f.letters if type(f) is Word else (f,)
     i, j = 0, len(letters)
     while j - i > 1 and _exact_inverses(letters[i], letters[j - 1]):
         i, j = i + 1, j - 1
@@ -383,16 +379,12 @@ def denjoy_blowup(generators: Sequence[MoebiusReal], orbit_seed: float, depth: i
     weight of :func:`default_gap_weights`, a summable sequence, so the
     gaps take less than half the circle at any depth.
     """
-    return list(_denjoy_build(generators, orbit_seed, depth).maps)
+    return list(denjoy_layout(generators, orbit_seed, depth).maps)
 
 
 def denjoy_layout(generators: Sequence[MoebiusReal], orbit_seed: float, depth: int = 5) -> DenjoyLayout:
-    """The gap allocation used by :func:`denjoy_blowup` with the same arguments,
-    carrying the blown-up generators as ``maps``."""
-    return _denjoy_build(generators, orbit_seed, depth)
-
-
-def _denjoy_build(generators, orbit_seed, depth) -> DenjoyLayout:
+    """The gap allocation of :func:`denjoy_blowup` with the same arguments, carrying the
+    blown-up generators as ``maps``; ``StabilizerNotTrivial`` if a ball word fixes the seed."""
     # The reduced words of length <= depth are indexed breadth-first, then by
     # parent index and letter (letter 2i is generator i, 2i+1 its inverse):
     # word k is letter first[k] times an earlier word.  A reduced word can

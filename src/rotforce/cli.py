@@ -50,7 +50,7 @@ def _angle_arg(name: str, text: str):
 def _emit(payload: dict, args) -> None:
     payload["meta"] = {
         "command": args.command,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
     }
     if args.pretty:
@@ -66,12 +66,21 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
-    """A JSON input file's document (a system or a map), refusing NaN, Infinity and numbers past float range."""
-    def finite(tok: str) -> float:
+    """A JSON input file's document (a system or a map), each number checked once, as it is parsed: a syntax
+    error, NaN, Infinity or a number past float range, integers of any length included, raises ValueError
+    naming the file and the (shortened) token.  Integers stay ``int``, so messages print them as written."""
+    def finite(tok: str, why: str = "is not a finite number") -> float:
         if not math.isfinite(v := float(tok)):
-            raise ValueError(f"{path}: {tok} is not a finite number")
+            shown = tok if len(tok) <= 32 else f"{tok[:16]}... ({len(tok)} characters)"
+            raise ValueError(f"{path}: {shown} {why}")
         return v
-    return json.loads(_read_text(path), parse_float=finite, parse_constant=finite)
+    def integer(tok: str) -> int:
+        finite(tok, "is past float range")
+        return int(tok)
+    try:
+        return json.loads(_read_text(path), parse_float=finite, parse_constant=finite, parse_int=integer)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _key(doc, key: str, path: str, what: str):
@@ -96,12 +105,9 @@ def _pair(value, path: str, what: str, shape: str) -> list:
 
 
 def _number(value, path: str, what: str) -> float:
-    """A JSON number as a finite float; a string such as "inf" would slip past ``_read_json``'s check."""
+    """A JSON number as a float; a string such as "inf" would slip past ``_read_json``'s check."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer past float range
-            raise ValueError(f"{path}: {what} is past float range") from None
+        return float(value)
     raise ValueError(f"{path}: {what} must be a number, got {json.dumps(value)}")
 
 
@@ -135,16 +141,12 @@ def _map_from_spec(spec, path: str) -> circledyn.CircleMap:
     raise ValueError(f"unknown map type {kind!r} (want moebius, rotation, pl, or word)")
 
 
-def _load_map(path: str) -> circledyn.CircleMap:
-    return _map_from_spec(_read_json(path), path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_rotnum(args) -> None:
-    f = _load_map(args.map)
+    f = _map_from_spec(_read_json(args.map), args.map)
     est = circledyn.rotation_number(f, args.iters)
     _emit(
         {
@@ -295,7 +297,7 @@ def _cmd_quat(args) -> None:
         "tolerance": 1e-10,
     }
     for name, x in sorted(spec.elements.items()):
-        tr, nm = quatalg.quat_trace_norm(alg, x)
+        tr, nm = alg.trace(x), alg.norm(x)
         try:
             entry = {"trace": str(tr), "norm": str(nm)}
         except ValueError:  # an integer past the interpreter's digit limit for str
@@ -399,7 +401,6 @@ def _cmd_denjoy(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented human-readable JSON")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized sampling")
 
     ap = argparse.ArgumentParser(prog="rotforce", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"rotforce {__version__}")
@@ -440,6 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["analyze"])
     p.add_argument("file", help="algebra spec file")
     p.add_argument("--samples", type=int, default=0, help="random trace-embedding checks")
+    p.add_argument("--seed", type=int, default=None, help="seed for the --samples draws")
     p.set_defaults(func=_cmd_quat)
 
     p = sub.add_parser("force", parents=[common], help="propagate rotation-number constraints")
@@ -458,7 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.set_defaults(func=_cmd_triangle)
 
-    p = sub.add_parser("denjoy", parents=[common], help="blow up a rotation orbit into gaps")
+    # allow_abbrev=False: --seed is not a prefix of --seed-point here
+    p = sub.add_parser("denjoy", parents=[common], allow_abbrev=False, help="blow up a rotation orbit into gaps")
     p.add_argument("--theta", required=True, help="rotation number (float or p/q)")
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--iters", type=int, default=100_000)

@@ -26,7 +26,7 @@ import bisect
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 

@@ -194,10 +194,14 @@ def elliptic_rotation_number(m: MoebiusReal) -> float:
 
 
 def rotation_about(p: HPoint, theta: float) -> MoebiusReal:
-    """The elliptic element fixing p with rotation number theta (identity for theta = 0)."""
+    """The elliptic element fixing p with rotation number theta (identity for theta = 0).
+
+    theta is folded onto [0, 1) before it is multiplied by pi, so a large
+    theta loses none of its fraction's digits to the angle's rounding.
+    """
     ry = math.sqrt(p.y)
     g = MoebiusReal(ry, p.x / ry, 0.0, 1.0 / ry)
-    return g @ MoebiusReal.rotation(math.pi * theta) @ g.inverse()
+    return g @ MoebiusReal.rotation(math.pi * unit_float(theta)) @ g.inverse()
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:

@@ -503,10 +503,6 @@ class QuatAlgebra:
         return self.field.zero() if out is None else out
 
 
-def quat_trace_norm(algebra: QuatAlgebra, x: QuatElem) -> tuple[FieldElem, FieldElem]:
-    return algebra.trace(x), algebra.norm(x)
-
-
 def ramification_profile(algebra: QuatAlgebra) -> tuple[Ramification, ...]:
     """Per real place, in embedding order: ramified iff both a and b are negative there."""
     return algebra.profile

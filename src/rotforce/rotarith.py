@@ -17,6 +17,7 @@ solving works with the signed semantics throughout -- that is what makes
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
@@ -90,11 +91,17 @@ def _as_float(t: AngleLike) -> float:
     return unit_float(float(t))
 
 
-def _check_finite(**args: AngleLike) -> None:
-    """A ValueError naming the first argument that is NaN or infinite."""
-    for name, x in args.items():
+# e^l overflows past log(largest float), about 709.78
+_L_MAX = math.log(sys.float_info.max)
+
+
+def _check_args(l: float, **angles: AngleLike) -> None:
+    """A ValueError naming the first argument that is NaN or infinite, or ``l`` when |l| is past ``_L_MAX``."""
+    for name, x in {"l": l, **angles}.items():
         if not math.isfinite(v := x.value if isinstance(x, Angle) else float(x)):
             raise ValueError(f"{name} must be a finite number, got {v}")
+    if abs(l) > _L_MAX:
+        raise ValueError(f"|l| must be at most {_L_MAX:.2f} (e^l overflows past it), got {l}")
 
 
 def wrap_diff(a, b):
@@ -117,7 +124,7 @@ def _as_exact(t: AngleLike) -> Fraction | None:
 
 def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     """Unsigned deformed sum via the arccos formula; Angle-normalized (1 -> 0)."""
-    _check_finite(l=l, t1=t1, t2=t2)
+    _check_args(l, t1=t1, t2=t2)
     if l == 0:
         e1, e2 = _as_exact(t1), _as_exact(t2)
         if e1 is not None and e2 is not None:
@@ -138,7 +145,7 @@ def plus_l_oracle(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     Centers sit at i and e^l i on the imaginary axis.  An identity
     composition reports 0; parabolic or hyperbolic compositions raise.
     """
-    _check_finite(l=l, t1=t1, t2=t2)
+    _check_args(l, t1=t1, t2=t2)
     m = rotation_about(HPoint(0.0, 1.0), _as_float(t1)) @ rotation_about(
         HPoint(0.0, math.exp(l)), _as_float(t2)
     )
@@ -203,24 +210,39 @@ class DomainInterval:
 def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     """Definedness-and-nonvanishing interval of t' -> theta +_l t'.
 
-    The formula argument is R cos(pi t' + phi) with
-    R = hypot(cos(pi theta), cosh(l) sin(pi theta)), so |argument| >= 1
-    on the closed arc centred at c = -phi/pi with half-width
-    h = acos(1/R)/pi, and the good set is the open arc (c + h, c - h).
-    The complement always contains -theta.
+    The formula argument is A cos(pi t') - B sin(pi t') with
+    A = cos(pi theta) and B = cosh(l) sin(pi theta), so |argument| >= 1
+    on a closed arc, the complement, whose half-width h has
+    tan(pi h) = s = sinh|l| sin(pi theta); the good set is the open arc
+    opposite it.  Each end is one closed form, with no difference of two
+    numbers near 1/2:
+
+    * the complement's midpoint -atan2(B, A)/pi plus or minus its
+      half-width atan(s)/pi, to within about 1e-16 for every l; a
+      complement narrower than rounding is the point lo == hi;
+    * for s > 2^26, the domain's own midpoint atan2(A, B)/pi plus or
+      minus its half-width atan2(1, s)/pi.  The domain is then narrower
+      than 1e-8 and shrinks like e^-|l|, which the complement's ends
+      could not resolve.
+
+    The complement always contains -theta.  ``l`` must satisfy |l| <= log
+    of the largest float, about 709.78.
     """
-    _check_finite(l=l, theta=theta)
+    _check_args(l, theta=theta)
     t = _as_float(theta)
     if l == 0.0 and t == 0.0:
         raise ValueError("(l, theta) = (0, 0) has no excluded direction")
-    a = math.pi * t
-    big_a, big_b = math.cos(a), math.cosh(l) * math.sin(a)
-    r = math.hypot(big_a, big_b)
-    center = -math.atan2(big_b, big_a) / math.pi  # complement midpoint: |argument| peaks here
-    if r <= 1.0 + 1e-15:
-        return DomainInterval(lo=unit_float(center), hi=unit_float(center), l=l, theta=t)
-    half = math.acos(1.0 / r) / math.pi
-    return DomainInterval(lo=unit_float(center + half), hi=unit_float(center - half), l=l, theta=t)
+    u = min(t, 1.0 - t)  # exact: sin(pi theta) keeps its digits near theta = 1
+    big_a, sin_a = math.copysign(math.cos(math.pi * u), 0.5 - t), math.sin(math.pi * u)
+    big_b, s = math.cosh(l) * sin_a, math.sinh(abs(l)) * sin_a
+    if s > 2.0**26:
+        # the domain holds 0, where the argument is A: rounding keeps its ends on either side
+        mid, half = math.atan2(big_a, big_b) / math.pi, math.atan2(1.0, s) / math.pi
+        lo, hi = min(mid - half, 0.0), max(mid + half, math.ulp(0.0))
+    else:
+        mid, half = -math.atan2(big_b, big_a) / math.pi, math.atan(s) / math.pi
+        lo, hi = mid + half, mid - half
+    return DomainInterval(lo=unit_float(lo), hi=unit_float(hi), l=l, theta=t)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +283,9 @@ class PlusL:
     l: float
     left: "Expr"
     right: "Expr"
+
+    def __post_init__(self):
+        _check_args(self.l)
 
 
 Expr = Union[Const, Var, PlusL]

@@ -441,7 +441,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
         ["force", str(path)],
         ["triangle", "2", "3", "7", "--pretty"],
         ["euler-feasible", "--sig", "0;2,3,7", "--degree", "168", "--cover-chi", "-4"],
-        ["addl", "1/4", "1/8", "--seed", "3"],
+        ["addl", "1/4", "1/8"],
         ["approx", "--cantor", "--stages", "2"],
         ["domain", "--l", "1.5", "--theta", "0.25"],
         ["euler-feasible", "--sig", "0;2,x", "--degree", "1", "--cover-chi", "2"],
@@ -501,6 +501,10 @@ def test_triangle_rep(capsys):
         (["addl", "0.2", "half"], "t2 'half' is not a number"),
         (["denjoy", "--theta", "nan"], "--theta 'nan' is not a finite number"),
         (["denjoy", "--theta", "1/0"], "--theta '1/0' is not a finite number"),
+        # an l past float range once ended in "math range error"
+        (["domain", "--l", "800", "--theta", "0.2"], "|l| must be at most 709.78 (e^l overflows past it), got 800.0"),
+        (["domain", "--l", "-710", "--theta", "0.2"], "|l| must be at most 709.78 (e^l overflows past it), got -710.0"),
+        (["addl", "0.2", "0.3", "--l", "800"], "|l| must be at most 709.78 (e^l overflows past it), got 800.0"),
     ],
 )
 def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
@@ -588,8 +592,8 @@ def test_map_file_rejects_non_finite_numbers(tmp_path, capsys, spec, token):
     ("rotnum", '{"type":"word","letters":5}', "letters must be a list, got 5"),
     # a number spelled as a string once slipped past the finite-number check
     ("rotnum", '{"type":"rotation","theta":"inf"}', 'theta must be a number, got "inf"'),
-    pytest.param("rotnum", '{"type":"pl","xs":[0.0],"ys":[1' + "0" * 400 + ']}', "a breakpoint is past float range",
-                 id="rotnum-huge-int-breakpoint"),
+    pytest.param("rotnum", '{"type":"pl","xs":[0.0],"ys":[1' + "0" * 400 + ']}',
+                 "1000000000000000... (401 characters) is past float range", id="rotnum-huge-int-breakpoint"),
     ("rotnum", '{"type":"word","letters":[{"type":"rotation"}]}', "rotation map has no 'theta' key"),
     ("rotnum", "[1,2]", "map must be a JSON object, got [1, 2]"),
     ("rotnum", '{"type":"word","letters":[{"theta":0.5}]}', "map has no 'type' key"),
@@ -603,8 +607,19 @@ def test_map_file_rejects_non_finite_numbers(tmp_path, capsys, spec, token):
     ("solve", '{"variables":["x"],"equations":[[{"plus_l":5},"1/2"]]}', "plus_l must be a JSON object, got 5"),
     ("solve", '{"variables":["x"],"equations":[["x"]]}', 'an equation must be [lhs, rhs], got ["x"]'),
     ("solve", '{"variables":"x","equations":[["x","1/2"]]}', 'variables must be a list, got "x"'),
-    pytest.param("solve", '{"variables":["x"],"equations":[["x",1' + "0" * 400 + ']]}', "a constant is past float range",
-                 id="solve-huge-int-constant"),
+    pytest.param("solve", '{"variables":["x"],"equations":[["x",1' + "0" * 400 + ']]}',
+                 "1000000000000000... (401 characters) is past float range", id="solve-huge-int-constant"),
+    # the interpreter's int digit limit once spoke first, naming neither file nor field
+    pytest.param("rotnum", '{"type":"rotation","theta":' + "1" * 5001 + "}",
+                 "1111111111111111... (5001 characters) is past float range", id="rotnum-5001-digit-int"),
+    pytest.param("rotnum", '{"type":"rotation","theta":' + "2" * 309 + "}",
+                 "2222222222222222... (309 characters) is past float range", id="rotnum-int-just-past-float-range"),
+    pytest.param("solve", '{"variables":["x"],"equations":[["x",-' + "9" * 400 + ']]}',
+                 "-999999999999999... (401 characters) is past float range", id="solve-negative-huge-int"),
+    # an empty or broken file once printed the decoder's message without the file
+    pytest.param("rotnum", "", "Expecting value: line 1 column 1 (char 0)", id="rotnum-empty-file"),
+    pytest.param("solve", '{"variables": ["x"]', "Expecting ',' delimiter: line 1 column 20 (char 19)",
+                 id="solve-unclosed"),
 ])
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, command, doc, message):
     # each of these once ended in a KeyError, TypeError or AttributeError traceback
@@ -682,3 +697,66 @@ def test_pretty_output(tmp_path, capsys):
 def test_meta_records_seed_default(capsys):
     doc = run_json(capsys, ["triangle", "2", "3", "7"])
     assert doc["meta"]["seed"] is None
+
+
+SEEDLESS_ARGVS = [
+    ["rotnum", "--map", "m.json"],
+    ["addl", "0.1", "0.2"],
+    ["domain", "--l", "1", "--theta", "0.25"],
+    ["solve", "sys.json"],
+    ["euler-feasible", "--sig", "0;2,3,7", "--degree", "168", "--cover-chi", "-4"],
+    ["force", "pres.txt"],
+    ["approx", "--cantor"],
+    ["triangle", "2", "3", "7"],
+    ["denjoy", "--theta", "0.3"],  # nor may --seed pass as an abbreviation of --seed-point
+]
+
+
+@pytest.mark.parametrize("argv", SEEDLESS_ARGVS, ids=[a[0] for a in SEEDLESS_ARGVS])
+def test_seed_is_a_usage_error_where_nothing_is_sampled(capsys, argv):
+    # all ten subcommands once accepted --seed, and nine only echoed it into meta
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv + ["--seed", "9"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
+def test_every_subcommand_but_quat_is_seedless():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    takes_seed = {name for name, p in sub.choices.items() if any(a.dest == "seed" for a in p._actions)}
+    assert takes_seed == {"quat"} and {a[0] for a in SEEDLESS_ARGVS} | takes_seed == set(sub.choices)
+
+
+def test_quat_analyze_still_records_its_seed(tmp_path, capsys):
+    path = tmp_path / "alg.txt"
+    path.write_text(QUAT_SPEC)
+    assert run_json(capsys, ["quat", "analyze", str(path), "--samples", "3", "--seed", "7"])["meta"]["seed"] == 7
+    assert run_json(capsys, ["quat", "analyze", str(path)])["meta"]["seed"] is None
+
+
+def test_integers_in_float_range_still_read(tmp_path, capsys):
+    # a 309-digit integer below float overflow passes the parse-time check
+    path = tmp_path / "m.json"
+    path.write_text('{"type":"rotation","theta":' + "9" * 308 + "}")
+    assert run_json(capsys, ["rotnum", "--map", str(path), "--iters", "10"])["rotation_number"] == 0.0
+
+
+def test_force_and_solve_refuse_l_past_float_range(tmp_path, capsys):
+    pres = tmp_path / "pres.txt"
+    pres.write_text("gens g\nexclude g: l=800 theta=0.2\nmark g\n")
+    system = tmp_path / "sys.json"
+    plus_l = {"plus_l": {"l": 800, "a": "t", "b": "t"}}
+    system.write_text(json.dumps({"variables": ["t"], "equations": [[plus_l, "2/5"]]}))
+    for argv in (["force", str(pres)], ["solve", str(system)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", "error: |l| must be at most 709.78 (e^l overflows past it), got 800.0\n")
+
+
+def test_rotation_map_folds_theta_before_scaling(tmp_path, capsys):
+    # theta = 1e12 + 0.375 once read 0.374954..., four times past the 2/n bound;
+    # theta = 1e308 once ended in "math domain error"
+    path = tmp_path / "m.json"
+    for theta, want in ((1000000000000.375, 0.375), (1e308, 0.0)):
+        path.write_text(json.dumps({"type": "rotation", "theta": theta}))
+        doc = run_json(capsys, ["rotnum", "--map", str(path)])
+        assert circledyn.circ_dist(doc["rotation_number"], want) <= doc["error_bound"]

@@ -1157,3 +1157,19 @@ def test_sweep_cap_raises_not_stabilized(monkeypatch):
     monkeypatch.setattr(forcing, "_MAX_SWEEPS", 3)
     with pytest.raises(forcing.NotStabilized, match=r"'[AB]' still shrinks after 3 sweeps"):
         propagate(parse_presentation(GROWING))
+
+
+@pytest.mark.parametrize("text", [
+    "gens a, nu; dial nu:3 controls a; pin a: 0, 1/4; mark a",
+    "gens a, b, nu; dial nu:4 controls a, b; mark a, b",
+    "gens nu; dial nu:5; mark nu",
+    "gens g; torsion g:7; exclude g: l=1e-300 theta=0.25; mark g",
+    "gens g, h; exclude g: l=709.0 theta=0.999999; exclude h: l=-0.3 theta=0.3333333333333333; mark g, h",
+])
+def test_dials_and_excludes_print_back_to_the_same_presentation(text):
+    # print_presentation's dial and exclude lines had no test
+    p = parse_presentation(text)
+    printed = print_presentation(p)
+    assert parse_presentation(printed) == p
+    assert printed.count("dial ") == len(p.dials) and printed.count("exclude ") == len(p.excludes)
+    assert propagate(parse_presentation(printed)).to_json() == propagate(p).to_json()

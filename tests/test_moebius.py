@@ -215,3 +215,25 @@ def test_apply_moves_upper_half_plane_into_itself():
         z = complex(rng.normal(), float(np.exp(rng.normal())))
         w = m.apply(z)
         assert w.imag > 0
+
+
+def test_rotation_about_folds_theta_before_scaling():
+    # pi * theta once rounded away the fraction: theta = 1e12 + 0.375 read
+    # 0.374954..., 1e14 + 0.375 read 0.374381, and 1e308 raised "math domain error"
+    from rotforce.circledyn import MoebiusOnRP1, circ_dist, rotation_number
+
+    n = 10_000
+    for k in (0.0, 1.0, 1e6, 1e12, 1e14, 1e15):
+        est = rotation_number(MoebiusOnRP1(rotation_about(HPoint(0.3, 1.7), k + 0.375)), n)
+        assert circ_dist(est.value, 0.375) <= 2.0 / n, k
+    assert rotation_about(HPoint(0.0, 1.0), 1e308) == MoebiusReal.identity()
+
+
+def test_rotation_about_is_bit_identical_on_the_unit_interval():
+    # the fold leaves every theta in [0, 1) as it is
+    rng = np.random.default_rng(197)
+    for theta in [0.0, 0.5, 1.0 - 2.0**-53, *rng.uniform(0.0, 1.0, 50)]:
+        p = HPoint(float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 3)))
+        ry = math.sqrt(p.y)
+        g = MoebiusReal(ry, p.x / ry, 0.0, 1.0 / ry)
+        assert rotation_about(p, float(theta)) == g @ MoebiusReal.rotation(math.pi * float(theta)) @ g.inverse()

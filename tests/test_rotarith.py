@@ -1,7 +1,9 @@
 """Tests for angle arithmetic: the deformed sum, its domain, exact
 division, and the torus equation solver."""
 
+import dataclasses
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -674,3 +676,99 @@ def test_signed_sum_and_wrap_diff_match_former_float_mod():
         with np.errstate(invalid="ignore"):
             former = (a - t2 + 0.5) % 1.0 - 0.5
         assert np.array_equal(wrap_diff(t1, t2).view(np.uint64), np.asarray(former).view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# domain ends against a 50-digit reference, and the l range
+
+
+def _reference_complement(l: float, theta: float):
+    """(midpoint, half-width) of the closed complement arc, to 50 digits: tan(pi h) = sinh|l| sin(pi theta)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lm, a = mpmath.mpf(l), mpmath.pi * mpmath.mpf(theta)
+        mid = -mpmath.atan2(mpmath.cosh(lm) * mpmath.sin(a), mpmath.cos(a)) / mpmath.pi
+        return mid, mpmath.atan(mpmath.sinh(abs(lm)) * mpmath.sin(a)) / mpmath.pi
+
+
+def _circle_gap(x: float, y) -> float:
+    """Circle distance from the float x to the high-precision y."""
+    d = (x - y) % 1
+    return float(min(d, 1 - d))
+
+
+REFERENCE_L = [1e-12, 1e-8, 1e-6, 0.3, 2.0, 38.0, 40.0, 300.0, 709.0]
+REFERENCE_THETA = [0.2, 0.5, 0.8, 0.05, 0.37, 0.999999]
+
+
+@pytest.mark.parametrize("l", REFERENCE_L)
+@pytest.mark.parametrize("theta", REFERENCE_THETA)
+def test_domain_ends_match_fifty_digit_reference(l, theta):
+    # the acos form cancelled to lo == hi == 0 ("defined everywhere but 0")
+    # from l ~ 38 on, and collapsed the complement to a point at l = 1e-8
+    mid, half = _reference_complement(l, theta)
+    di = domain_interval(l, theta)
+    assert _circle_gap(di.lo, mid + half) <= 1e-15 and _circle_gap(di.hi, mid - half) <= 1e-15
+    assert (di.lo == di.hi) == (half < 1e-16)  # the point encoding only below rounding
+    assert abs(di.length() - float(1 - 2 * half)) <= 2e-15
+
+
+@pytest.mark.parametrize("l", REFERENCE_L)
+@pytest.mark.parametrize("theta", REFERENCE_THETA)
+def test_rule_r7_keeps_the_whole_excluded_arc(l, theta):
+    # R7 keeps {0} and the closed complement; on `gens g; exclude g: ...` it
+    # once gave {0} alone at l = 40 and the three points {0, 0.2, 0.8} at l = 1e-8
+    from rotforce.forcing import parse_presentation, propagate
+
+    mid, half = _reference_complement(l, theta)
+    if half <= 1e-15:
+        return  # shrunk by 1e-15 at each end, the arc is empty
+    kept = propagate(parse_presentation(f"gens g; exclude g: l={l!r} theta={theta!r}; mark g")).marked["g"]
+    for k in range(-4, 5):
+        assert kept.contains(float((mid + k * (half - 1e-15) / 4) % 1))
+
+
+def test_domain_at_large_l_is_a_narrow_arc_around_zero():
+    di = domain_interval(38.0, 0.2)
+    assert di.length() < 1e-15 and di.lo != di.hi
+    with pytest.raises(UndefinedSum):
+        plus_l(0.2, 0.5, 38.0)
+    # the domain keeps 0 (where the argument is cos(pi theta)) inside its closure at every l
+    for l in (38.0, 300.0, 709.0):
+        for theta in (1e-9, 0.5, 1 - 2.0**-30):
+            di = domain_interval(l, theta)
+            assert (di.lo == 0.0 or di.lo > 0.5) and di.hi < 0.5 and di.lo != di.hi
+
+
+def test_domain_keeps_the_point_encoding_when_undeformed():
+    # l = 0, or a complement narrower than rounding, is the point lo == hi at -theta
+    for l, theta in ((0.0, 0.3), (0.0, 0.9), (1e-300, 0.2), (2.0, 0.0)):
+        di = domain_interval(l, theta)
+        assert di.lo == di.hi and di.length() == 1.0
+        assert circ_dist(di.lo, -theta) <= 1e-15
+
+
+L_PAST_RANGE = [800.0, -710.0, 1e308]
+
+
+@pytest.mark.parametrize("l", L_PAST_RANGE)
+@pytest.mark.parametrize("call", [
+    lambda l: plus_l(0.2, 0.3, l),
+    lambda l: plus_l_oracle(0.2, 0.3, l),
+    lambda l: domain_interval(l, 0.2),
+    lambda l: PlusL(l=l, left=Var("t"), right=Var("t")),
+], ids=["plus_l", "plus_l_oracle", "domain_interval", "PlusL"])
+def test_l_past_float_range_is_refused_naming_l(call, l):
+    # these once ended in OverflowError("math range error")
+    with pytest.raises(ValueError, match=r"^\|l\| must be at most 709\.78 \(e\^l overflows past it\), got "):
+        call(l)
+
+
+def test_l_just_inside_float_range_is_accepted():
+    l_max = math.log(sys.float_info.max)
+    assert domain_interval(l_max, 0.2).length() < 1e-300
+    assert domain_interval(-l_max, 0.2) == dataclasses.replace(domain_interval(l_max, 0.2), l=-l_max)
+    assert plus_l(0.0, 0.3, l_max).value == pytest.approx(0.3)
+    lhs = PlusL(l=l_max, left=Var("t"), right=Const(Angle(0.0)))
+    system = EquationSystem(variables=["t"], equations=[(lhs, Const(Angle(0.25)))])
+    assert solve_system(system).values() == pytest.approx([0.25])
