@@ -1,21 +1,20 @@
-"""Canonical-lift totals behind rotation-number estimates: the orbit loop and the matrix closed form.
+"""Lift totals behind rotation-number estimates: the orbit loops and the matrix closed form.
 
-Every estimate is the canonical-lift total F^n(x) - x of a circle
-homeomorphism f, where F is the lift with F(0) in [0, 1).  For t in
-[0, 1), F(t) = f(t) + [f(t) < f(0)], so one step of an orbit contributes
-``f(t) - t + (f(t) < f(0))`` and n steps telescope to F^n(x) - x.
-:func:`lift_total` takes that sum step by step, on Python floats for one
-orbit or on numpy arrays for a batch of orbits (one per map); it is the
-path for words, and the test oracle for matrices.  A lone
-piecewise-linear map iterates the canonical lift table its constructor
-built (:func:`pl_lift_total`): each step adds F(t) - t read off the
-table, and no turn is decided by comparing two circle points.  The two
-primitive map kinds supply their steps here: the projective action of
-determinant-one matrices (:func:`rp1`) and piecewise-linear maps
-evaluated from an extended breakpoint table (:func:`pl_table`,
-:func:`pl_eval`).  Every circle point a module returns or stores is
-folded onto [0, 1) here, by :func:`unit` for arrays and
-:func:`unit_float` for one float.
+Every estimate is a lift total F^n(x) - x of a circle homeomorphism f.
+The canonical lift F is the one with F(0) in [0, 1); any other lift is
+F + k for an integer k, which adds k to the estimate total/n and nothing
+to it mod 1.  An orbit loop adds the steps F(t) - t of a lift and folds
+only the point it carries forward, so no turn is decided by comparing
+two circle points.  A lone piecewise-linear map reads the canonical
+lift table its constructor built (:func:`pl_lift_total`).  A word sums
+its letters' steps (:func:`_word_lift_total`): a piecewise-linear letter
+reads its table, and a matrix letter turns each point by the angle from
+v to sMv (:func:`_moebius_lift`).  The two primitive map kinds supply
+their steps here: the projective action of determinant-one matrices
+(:func:`rp1`) and piecewise-linear maps evaluated from an extended
+breakpoint table (:func:`pl_table`, :func:`pl_eval`).  Every circle
+point a module returns or stores is folded onto [0, 1) here, by
+:func:`unit` for arrays and :func:`unit_float` for one float.
 
 A matrix M takes no orbit (:func:`moebius_lift_totals`).  The total is
 ``frac`` plus whole turns.  ``frac`` = f^n(x) - x is read off
@@ -43,14 +42,14 @@ The turns come from the class of M:
   each v by the angle from v to Mv, in (-pi, pi), lifts f to a map that
   fixes every lift of every fixed point.  The canonical lift F is that
   map plus k turns: k is f(0) - atan2(c, a)/pi for the sign of M with
-  positive trace, rounded to an integer, with f(0) folded as the orbit
-  loop folds it.  No fixed point is compared with f(0), which rounding
-  would decide when both lie within rounding of 0.  G = F - k fixes
-  every lift of every fixed point, so the G-orbit of x stays between two
-  of them and moves less than a turn, in the direction of
-  sign(G(x) - x): the total is n k plus ``frac`` lifted into [0, 1) or
-  (-1, 0] by that sign.  A step G(x) - x within rounding of 0 has no
-  sign, and ``frac`` is lifted into [-1/2, 1/2].
+  positive trace, rounded to an integer, with f(0) folded onto [0, 1).
+  No fixed point is compared with f(0), which rounding would decide
+  when both lie within rounding of 0.  G = F - k fixes every lift of
+  every fixed point, so the G-orbit of x stays between two of them and
+  moves less than a turn, in the direction of sign(G(x) - x): the total
+  is n k plus ``frac`` lifted into [0, 1) or (-1, 0] by that sign.  A
+  step G(x) - x within rounding of 0 has no sign, and ``frac`` is lifted
+  into [-1/2, 1/2].
 
 Orbits start at the golden section ``ORBIT_START`` = (sqrt 5 - 1)/2, not
 at 0.  F jumps at 0, and an orbit of 0 under a rotation by p/q returns
@@ -70,25 +69,6 @@ import numpy as np
 
 ORBIT_START = (math.sqrt(5.0) - 1.0) / 2.0
 _STEP_TOL = 1e-15  # a few roundings of a circle coordinate in [0, 1)
-
-
-def lift_total(step, n: int, start):
-    """Canonical-lift displacement F^n(start) - start after n steps of ``step``.
-
-    ``step`` maps circle coordinates in [0, 1) into [0, 1).  ``start`` is a
-    float, or a numpy array of starting points that ``step`` maps
-    elementwise (one orbit per map of a batch).  It costs n steps, so
-    matrices take :func:`moebius_lift_totals` instead.
-    """
-    zero = start * 0.0
-    f0 = step(zero)
-    t = start
-    total = zero
-    for _ in range(n):
-        tp = step(t)
-        total += tp - t + (tp < f0)
-        t = tp
-    return total
 
 
 def unit(x):
@@ -185,7 +165,7 @@ def _fixed_point_totals(a, b, c, d, n: int):
     # limit s_(n-1)/s_n = (n - 1)/n, as has any tiny theta
     theta = np.log1p(np.maximum(u, 1e-300))
     ratio = np.exp(-theta) * np.expm1(-2.0 * (n - 1) * theta) / np.expm1(-2.0 * n * theta)
-    # F(0) = f0, folded as the loop folds it, lies k turns above the value at 0 of the lift
+    # F(0) = f0, folded onto [0, 1), lies k turns above the value at 0 of the lift
     # that turns each v by the angle from v to Mv (module docstring)
     sign = np.copysign(1.0, half)  # -M acts as M does; with positive trace no v goes to -v
     f0 = rp1(a, b, c, d, 0.0)
@@ -237,4 +217,42 @@ def pl_lift_total(xe: list[float], ye: list[float], n: int) -> float:
         y = pl_eval(xe, ye, t)
         total += y - t
         t = y % 1.0
+    return total
+
+
+def _moebius_lift(a, b, c, d):
+    """A lift t -> t + angle(v, sMv)/pi of the action of M = [[a, b], [c, d]].
+
+    v = (cos pi t, sin pi t), and s is the sign of the trace of M.  Up to
+    that sign the eigenvalues of M are positive or not real, so sM sends
+    no v to -v: the angle stays in (-pi, pi), and the lift is continuous
+    in t and decides no turn.  Its value at 0 lies in (-1, 1), so it is the
+    canonical lift or one turn below it.
+    """
+    s = math.copysign(1.0, a + d)
+    a, b, c, d = s * a, s * b, s * c, s * d
+
+    def lift(t: float) -> float:
+        ct, st = math.cos(math.pi * t), math.sin(math.pi * t)
+        u, w = a * ct + b * st, c * ct + d * st
+        return t + math.atan2(ct * w - st * u, ct * u + st * w) / math.pi
+
+    return lift
+
+
+def _word_lift_total(lifts, n: int) -> float:
+    """Lift total after n iterations of a word: each letter adds its step F(t) - t.
+
+    ``lifts`` are the letters' lifts in the order they act, each taking t
+    in [0, 1) to F(t): :func:`pl_eval` on a canonical table, or
+    :func:`_moebius_lift`.  The composed lift may differ from the canonical
+    one by whole turns, so only the estimate mod 1 is the word's.
+    """
+    t = ORBIT_START
+    total = 0.0
+    for _ in range(n):
+        for lift in lifts:
+            y = lift(t)
+            total += y - t
+            t = unit_float(y)
     return total

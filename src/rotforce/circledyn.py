@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,14 +39,18 @@ def circ_dist(a: float, b: float) -> float:
 def in_arc(x: float, arc: tuple, tol: float = 0.0) -> bool:
     """x lies on the closed arc running ccw from arc[0] to arc[1], widened by tol.
 
-    The endpoints may be lifted (any reals): both are read mod 1, and a
-    lifted span hi - lo of at least 1 is the whole circle.
+    The endpoints may be lifted (any reals): a lifted span hi - lo of at
+    least 1 is the whole circle, and otherwise only ends outside [0, 1)
+    are read mod 1.  Ends and a point in [0, 1) are compared as they are,
+    with no rounded difference, so a point one ulp past an end is outside.
     """
     lo, hi = float(arc[0]), float(arc[1])
     if hi - lo >= 1.0:
         return True
-    off = (x - lo) % 1.0
-    return off <= (hi - lo) % 1.0 + tol or off >= 1.0 - tol
+    # unit_float leaves a value in [0, 1) as it is
+    lo, hi, x = _kernels.unit_float(lo), _kernels.unit_float(hi), _kernels.unit_float(x)
+    inside = lo <= x <= hi if lo <= hi else not hi < x < lo
+    return inside or (tol > 0.0 and min(circ_dist(x, lo), circ_dist(x, hi)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +257,9 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
     * a piecewise-linear map, or what remains of such a word, iterates
       n steps: a lone map sums the steps F(t) - t of the canonical lift
       table its constructor built (``_kernels.pl_lift_total``), a word
-      calls its letters one by one (``_kernels.lift_total``).
+      sums its letters' lift steps and folds only the point it carries
+      on (``_kernels._word_lift_total``); neither decides a turn by
+      comparing two circle points.
 
     The reported ``error_bound`` 2/n is the conservative a-priori bound
     |(lift^n(x) - x)/n - rot(f)| < 2/n valid for every circle
@@ -273,7 +280,12 @@ def rotation_number(f: CircleMap, n: int = 100_000) -> RotationEstimate:
         return _estimate_from_total(float(_kernels.moebius_lift_totals([m.entries()], n)[0]), n)
     if isinstance(g, PiecewiseLinear):
         return _estimate_from_total(_kernels.pl_lift_total(g._xe, g._ye, n), n)
-    return _estimate_from_total(_kernels.lift_total(g, n, _kernels.ORBIT_START), n)
+    lifts = [
+        partial(_kernels.pl_eval, h._xe, h._ye) if type(h) is PiecewiseLinear
+        else _kernels._moebius_lift(*h.matrix.entries())
+        for h in reversed(g.letters)
+    ]
+    return _estimate_from_total(_kernels._word_lift_total(lifts, n), n)
 
 
 def _conjugate_core(f: CircleMap) -> CircleMap:

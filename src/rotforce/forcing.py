@@ -11,9 +11,9 @@ for commuting products, torsion, orbifold Euler-number feasibility, and
 interval exclusion -- until nothing shrinks, recording each derivation
 step in a replayable certificate.  The rules are mined once, and one is
 re-derived only when a fact it cites changes; NotStabilized caps sweeps
-and arcs.  The outputs are over-approximations: every genuine circle
-action realizes rotation numbers inside them, and on the presentations
-this package targets they are exact.
+and arcs.  The outputs are outer sets: every genuine circle action
+realizes rotation numbers inside them.  No code checks that a value they
+keep is attained by some action, so they are not claimed to be exact.
 
 Also here: nested outer approximations of closed symmetric sets by
 dyadically-snapped interval covers, and the synthesis of a presentation

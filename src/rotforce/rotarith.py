@@ -122,6 +122,14 @@ def _as_exact(t: AngleLike) -> Fraction | None:
     return None
 
 
+def _cos_sin(t: float) -> tuple[float, float]:
+    """cos(pi t) and sin(pi t) for t in [0, 1), taken at min(t, 1 - t) with the sign carried.
+
+    1 - t is exact, so sin(pi t) keeps its digits near t = 1."""
+    u = min(t, 1.0 - t)
+    return math.copysign(math.cos(math.pi * u), 0.5 - t), math.sin(math.pi * u)
+
+
 def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     """Unsigned deformed sum via the arccos formula; Angle-normalized (1 -> 0)."""
     _check_args(l, t1=t1, t2=t2)
@@ -131,8 +139,8 @@ def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
             # undeformed sum, folded the way acos folds: x and 2 - x agree
             s = (e1 + e2) % 2
             return Angle(exact=s if s <= 1 else 2 - s)
-    a1, a2 = math.pi * _as_float(t1), math.pi * _as_float(t2)
-    arg = math.cos(a1) * math.cos(a2) - math.cosh(l) * math.sin(a1) * math.sin(a2)
+    (c1, s1), (c2, s2) = _cos_sin(_as_float(t1)), _cos_sin(_as_float(t2))
+    arg = c1 * c2 - math.cosh(l) * s1 * s2
     if abs(arg) > 1.0 + 1e-12:
         raise UndefinedSum(f"formula argument {arg} outside [-1, 1]")
     arg = min(1.0, max(-1.0, arg))
@@ -232,8 +240,7 @@ def domain_interval(l: float, theta: AngleLike) -> DomainInterval:
     t = _as_float(theta)
     if l == 0.0 and t == 0.0:
         raise ValueError("(l, theta) = (0, 0) has no excluded direction")
-    u = min(t, 1.0 - t)  # exact: sin(pi theta) keeps its digits near theta = 1
-    big_a, sin_a = math.copysign(math.cos(math.pi * u), 0.5 - t), math.sin(math.pi * u)
+    big_a, sin_a = _cos_sin(t)
     big_b, s = math.cosh(l) * sin_a, math.sinh(abs(l)) * sin_a
     if s > 2.0**26:
         # the domain holds 0, where the argument is A: rounding keeps its ends on either side

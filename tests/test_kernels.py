@@ -1,9 +1,11 @@
-"""The closed form of the canonical-lift total of a matrix against the kept orbit loop.
+"""The closed form of the canonical-lift total of a matrix against an orbit loop.
 
-``_kernels.lift_total`` steps an orbit and is the oracle here.  No matrix
-reaches it through ``rotation_number`` or ``rotation_numbers``, so these
-tests call it directly, one orbit at a time on floats and as one batch
-on numpy arrays.
+The ``comparison_loop`` fixture steps an orbit, counting each turn by
+comparing two circle points, and is the oracle here; it loses a turn on
+orbits that creep onto a fixed point at 0, which these inputs avoid.  No
+matrix reaches an orbit loop through ``rotation_number`` or
+``rotation_numbers``, so these tests call it directly, one orbit at a
+time on floats and as one batch on numpy arrays.
 """
 
 import math
@@ -63,9 +65,9 @@ def _band(seed):
     return out
 
 
-def _batch_loop(rows, n):
+def _batch_loop(loop, rows, n):
     a, b, c, d = np.asarray(rows, dtype=float).T
-    return _kernels.lift_total(lambda t: _kernels.rp1(a, b, c, d, t), n, np.full(len(a), _kernels.ORBIT_START))
+    return loop(lambda t: _kernels.rp1(a, b, c, d, t), n, np.full(len(a), _kernels.ORBIT_START))
 
 
 def _assert_totals_agree(got, want, n):
@@ -88,21 +90,21 @@ def test_inputs_cover_both_sides_of_the_band():
 
 
 @pytest.mark.parametrize("n", NS)
-def test_closed_form_matches_loop(n):
-    single = [_kernels.lift_total(m.rp1, n, _kernels.ORBIT_START) for m in MATS]
-    batch = _batch_loop([m.entries() for m in MATS], n)
+def test_closed_form_matches_loop(n, comparison_loop):
+    single = [comparison_loop(m.rp1, n, _kernels.ORBIT_START) for m in MATS]
+    batch = _batch_loop(comparison_loop, [m.entries() for m in MATS], n)
     _assert_totals_agree(single, batch, n)
     _assert_totals_agree(_kernels.moebius_lift_totals([m.entries() for m in MATS], n), batch, n)
     elliptic = [m for m in MATS if m.classify() is IsometryClass.ELLIPTIC]
     closed = _kernels.elliptic_lift_totals(*np.array([m.entries() for m in elliptic]).T, n)
-    _assert_totals_agree(closed, _batch_loop([m.entries() for m in elliptic], n), n)
+    _assert_totals_agree(closed, _batch_loop(comparison_loop, [m.entries() for m in elliptic], n), n)
     ests = [rotation_number(MoebiusOnRP1(m), n) for m in MATS]
     assert max(circ_dist(e.value, w / n % 1.0) for e, w in zip(ests, single)) < 1e-9
     assert max(circ_dist(e.value, w / n % 1.0) for e, w in zip(rotation_numbers(MATS, n), batch)) < 1e-9
 
 
 @pytest.mark.parametrize("n", NS)
-def test_mixed_batch_keeps_row_positions(n):
+def test_mixed_batch_keeps_row_positions(n, comparison_loop):
     rng = np.random.default_rng(229 + n)
     elliptic = [m.entries() for m in _random(233, 12)]
     others = [
@@ -136,17 +138,17 @@ def test_mixed_batch_keeps_row_positions(n):
     rows = elliptic + others + flipped
     rows = [rows[i] for i in rng.permutation(len(rows))]
     totals = _kernels.moebius_lift_totals(rows, n)
-    _assert_totals_agree(totals, _batch_loop(rows, n), n)
+    _assert_totals_agree(totals, _batch_loop(comparison_loop, rows, n), n)
     for row, total in zip(rows, totals):
-        assert abs(total - _kernels.lift_total(MoebiusReal(*row).rp1, n, _kernels.ORBIT_START)) < 1e-8
+        assert abs(total - comparison_loop(MoebiusReal(*row).rp1, n, _kernels.ORBIT_START)) < 1e-8
 
 
 @pytest.mark.parametrize("n", NS[:3])
-def test_totals_take_their_digits_from_the_power(n):
+def test_totals_take_their_digits_from_the_power(n, comparison_loop):
     # the class formulas only choose the whole turns: near |trace| = 2 the
     # elliptic conjugacy alone is off by about 3e-10 at n = 1
     rows = [m.entries() for m in MATS]
-    assert np.max(np.abs(_kernels.moebius_lift_totals(rows, n) - _batch_loop(rows, n))) < 1e-11
+    assert np.max(np.abs(_kernels.moebius_lift_totals(rows, n) - _batch_loop(comparison_loop, rows, n))) < 1e-11
 
 
 def test_rotation_numbers_are_the_moebius_formula():
@@ -162,12 +164,12 @@ def test_rotation_numbers_are_the_moebius_formula():
 def test_no_matrix_reaches_the_loop(monkeypatch):
     looped = []
 
-    def spy(step, n, start):
-        looped.append(start)
-        return loop(step, n, start)
+    def spy(lifts, n):
+        looped.append(lifts)
+        return loop(lifts, n)
 
-    loop = _kernels.lift_total
-    monkeypatch.setattr(_kernels, "lift_total", spy)
+    loop = _kernels._word_lift_total
+    monkeypatch.setattr(_kernels, "_word_lift_total", spy)
     rotation_numbers(MATS, 7)
     for m in MATS:
         rotation_number(MoebiusOnRP1(m), 7)
@@ -233,12 +235,12 @@ def test_estimates_near_and_past_the_band(kind, v, size, g, sign, n):
     assert circ_dist(est.value, rho) <= est.error_bound
 
 
-def test_fixed_point_turns_match_loop_near_the_diagonal():
+def test_fixed_point_turns_match_loop_near_the_diagonal(comparison_loop):
     # a fixed point within rounding of 0, or of 1/2, beside a tiny f(0) of either sign:
     # comparing the fixed point with f(0) counted a turn per step on 104 of the
     # 2,100 probes with |a| <= 2, the first one 19.382 against the loop's 0.382
     (total,) = _kernels.moebius_lift_totals([(2.0, -1e-17, 1e-17, 0.5)], 20)
-    assert abs(total - _kernels.lift_total(MoebiusReal(2.0, -1e-17, 1e-17, 0.5).rp1, 20, _kernels.ORBIT_START)) < 1e-8
+    assert abs(total - comparison_loop(MoebiusReal(2.0, -1e-17, 1e-17, 0.5).rp1, 20, _kernels.ORBIT_START)) < 1e-8
     assert circ_dist(rotation_number(MoebiusOnRP1(MoebiusReal(2.0, -1e-17, 1e-17, 0.5)), 20).value, 0.0) <= 0.1
     # past |a| = 2 the loop's own orbit rounds onto the attracting fixed point at 0 by n = 20
     sizes = [s * v for v in (0.3, 0.5, 1.0, 1.25, 1.6, 2.0, 2.5, 5.0) for s in (1.0, -1.0)]
@@ -251,14 +253,14 @@ def test_fixed_point_turns_match_loop_near_the_diagonal():
                 m = MoebiusReal(a, b, c, 1.0 / a)
                 for n in (1, 2, 3, 7, 20) if abs(a) <= 2.0 else (1, 2, 3, 7):
                     (total,) = _kernels.moebius_lift_totals([m.entries()], n)
-                    assert abs(total - _kernels.lift_total(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, (m, n)
+                    assert abs(total - comparison_loop(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, (m, n)
                     probes += 1
     assert probes == 2100 + 560
 
 
 @pytest.mark.parametrize("a, d", [(-0.5, 3.0), (3.0, -0.5), (-0.25, 6.0), (6.0, -0.25)])
 @pytest.mark.parametrize("c", [1e-17, -1e-17, 3e-17, -3e-17, 1e-300, -1e-300, 0.01, -0.01, 0.1, -0.1])
-def test_fixed_point_turns_with_opposite_signed_diagonal(a, d, c):
+def test_fixed_point_turns_with_opposite_signed_diagonal(a, d, c, comparison_loop):
     # a and d of opposite signs.  MoebiusReal makes a > 0, so a row with a < 0 comes out
     # with negative trace: atan2(c, a) is taken for -M and lies near +-pi for small c.
     # For tiny c the sign bit of c decides the turn, but both fixed points and f(0) lie
@@ -267,14 +269,14 @@ def test_fixed_point_turns_with_opposite_signed_diagonal(a, d, c):
     m = MoebiusReal(a, (a * d - 1.0) / c, c, d)
     for n in (1, 2, 3, 7, 20) if abs(c) >= 0.01 else (1,):
         (total,) = _kernels.moebius_lift_totals([m.entries()], n)
-        assert abs(total - _kernels.lift_total(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, n
+        assert abs(total - comparison_loop(m.rp1, n, _kernels.ORBIT_START)) < 1e-8, n
 
 
 @pytest.mark.parametrize("row", [(-0.5, -2.5e17, 1e-17, 3.0), (-0.25, -1e17, 2.5e-17, 6.0), (-0.5, -2.5e300, 1e-300, 3.0)])
-def test_fixed_point_turns_of_a_raw_row_with_positive_trace_and_a_below_0(row):
+def test_fixed_point_turns_of_a_raw_row_with_positive_trace_and_a_below_0(row, comparison_loop):
     # a row not normalised by MoebiusReal: atan2(c, a) itself lies near pi, and rounds to it
     (total,) = _kernels.moebius_lift_totals([row], 1)
-    assert abs(total - _kernels.lift_total(lambda t: float(_kernels.rp1(*row, t)), 1, _kernels.ORBIT_START)) < 1e-8
+    assert abs(total - comparison_loop(lambda t: float(_kernels.rp1(*row, t)), 1, _kernels.ORBIT_START)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from rotforce.rotarith import (
     circ_dist,
     divide,
     domain_interval,
+    in_arc,
     plus_l,
     plus_l_oracle,
     plus_l_signed_array,
@@ -252,6 +253,52 @@ def test_domain_contains_matches_former_offset_test():
 def test_one_arc_test_serves_every_caller():
     assert rotarith.in_arc is circledyn.in_arc and rotset.in_arc is circledyn.in_arc
     assert not hasattr(rotarith, "_in_arc")
+
+
+def _inside(lo, hi):
+    """The floats of [0, 1) one ulp inside each end of the arc (lo, hi), a point when lo == hi."""
+    return [] if lo == hi else [x for x in (math.nextafter(lo, 2.0), math.nextafter(hi, -1.0)) if x < 1.0]
+
+
+def _outside(lo, hi):
+    """The floats of [0, 1) one ulp outside each end of the arc (lo, hi) that are not its ends."""
+    return [x for x in (math.nextafter(lo, -1.0), math.nextafter(hi, 2.0)) if 0.0 <= x < 1.0 and x not in (lo, hi)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(0.0, 1.0, exclude_max=True), hi=st.floats(0.0, 1.0, exclude_max=True))
+def test_in_arc_is_exact_one_ulp_from_its_ends(lo, hi):
+    # comparing (x - lo) mod 1 with (hi - lo) mod 1 let the two roundings tie:
+    # in_arc(nextafter(0.3, -1.0), (0.3, 0.6)) was True
+    assert in_arc(lo, (lo, hi)) and in_arc(hi, (lo, hi))
+    assert all(in_arc(x, (lo, hi)) for x in _inside(lo, hi))
+    assert not any(in_arc(x, (lo, hi)) for x in _outside(lo, hi))
+    # tol still widens the arc across 0 on either side
+    assert in_arc(lo - 1e-9 if lo >= 1e-9 else lo - 1e-9 + 1.0, (lo, hi), tol=2e-9)
+    assert in_arc(hi + 1e-9 if hi + 1e-9 < 1.0 else hi + 1e-9 - 1.0, (lo, hi), tol=2e-9)
+    assert not in_arc(math.nextafter(0.3, -1.0), (0.3, 0.6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(l=st.floats(0.01, 5.0), theta=st.floats(0.001, 0.999))
+def test_domain_contains_is_exact_one_ulp_from_its_ends(l, theta):
+    # domain_interval(2.0, 0.3).contains(nextafter(hi, -1.0)) was False
+    di = domain_interval(l, theta)
+    assert not di.contains(di.lo) and not di.contains(di.hi)
+    assert all(di.contains(x) for x in _inside(di.lo, di.hi))
+    assert not any(di.contains(x) for x in _outside(di.lo, di.hi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(-12.0, -3.0), l=st.floats(0.0, 20.0), f=st.floats(0.01, 0.99))
+def test_plus_l_near_one_matches_fifty_digit_reference(u, l, f, mp50):
+    # sin of the rounded product pi t1 kept few digits of pi (1 - t1): at
+    # (0.99999999992, 0.468, 19.9) the sum was off by 6.5e-9
+    t1 = 1.0 - 10.0**u
+    di = domain_interval(l, t1)
+    t2 = (di.lo + f * di.length()) % 1.0
+    assert circ_dist(plus_l(t1, t2, l).value, mp50.plus_l(t1, t2, l)) <= 1e-14
+    assert circ_dist(plus_l(0.99999999992, 0.468, 19.9).value, mp50.plus_l(0.99999999992, 0.468, 19.9)) <= 1e-15
 
 
 def test_divide_exact():
