@@ -27,6 +27,10 @@ from .moebius import CLASS_TOL, HPoint, MoebiusReal, elliptic_rotation_number, r
 
 __all__ = ["main"]
 
+# The last Cantor stage of `approx` then has 2^16 intervals; a far larger
+# --stages would hold one big-integer grid of 2^(stages+4) per stage.
+MAX_APPROX_STAGES = 16
+
 
 def _angle_arg(name: str, text: str):
     """'p/q' becomes an exact Angle; anything else parses as a float.
@@ -334,6 +338,8 @@ def _cmd_force(args) -> None:
 
 
 def _cmd_approx(args) -> None:
+    if not 1 <= args.stages <= MAX_APPROX_STAGES:
+        raise ValueError(f"--stages must lie in 1..{MAX_APPROX_STAGES}, not {args.stages}")
     if args.cantor:
         kspec = forcing.middle_thirds_cantor
     elif args.intervals:
@@ -451,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", parents=[common], help="nested outer interval approximations")
     p.add_argument("--cantor", action="store_true", help="middle-thirds Cantor target")
     p.add_argument("--intervals", default=None, help='comma list "lo:hi" of exact arcs')
-    p.add_argument("--stages", type=int, default=8)
+    p.add_argument("--stages", type=int, default=8, help=f"number of stages, 1 to {MAX_APPROX_STAGES}")
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("triangle", parents=[common], help="hyperbolic triangle-rotation matrices")

@@ -750,16 +750,75 @@ def replay_certificate(p: Presentation, cert: Certificate) -> bool:
 
 
 def middle_thirds_cantor(stage: int) -> list[tuple[Fraction, Fraction]]:
-    """The 2^stage closed intervals of the standard middle-thirds construction."""
-    ivs = [(Fraction(0), Fraction(1))]
+    """The 2^stage closed intervals of the standard middle-thirds construction,
+    in order; their left ends are built as integer numerators over 3^stage."""
+    if stage < 0:
+        raise ValueError(f"Cantor stage {stage} is negative")
+    lows = [0]
     for _ in range(stage):
-        nxt = []
-        for lo, hi in ivs:
-            third = (hi - lo) / 3
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        ivs = nxt
-    return ivs
+        lows = [m for n in lows for m in (3 * n, 3 * n + 2)]
+    den = 3**stage
+    return [(Fraction(n, den), Fraction(n + 1, den)) for n in lows]
+
+
+def _ratio(v) -> tuple[int, int]:
+    """v as (numerator, denominator > 0) in lowest terms; a float by its exact value."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # a numpy integer, or a string such as "1/3"
+        return Fraction(v).as_integer_ratio()
+
+
+def _covers(arcs: list[tuple[int, int]], starts: list[int], x: int, y: int) -> bool:
+    """Whether one of the sorted, disjoint arcs (starting at starts) contains [x, y]."""
+    k = bisect.bisect_right(starts, x) - 1
+    return k >= 0 and y <= arcs[k][1]
+
+
+def _inside(pts: list[int], arcs: list[tuple[int, int]], o_pts: set[int], o_arcs: list[tuple[int, int]]) -> bool:
+    """Whether points and arcs lie in the set of the points o_pts and the merged arcs o_arcs."""
+    starts = [x for x, _ in o_arcs]
+    return all(p in o_pts or _covers(o_arcs, starts, p, p) for p in pts) and all(
+        _covers(o_arcs, starts, x, y) for x, y in arcs
+    )
+
+
+def _snapped_stage(i: int, cover: Sequence) -> tuple[list[int], list[tuple[int, int]]]:
+    """Stage i of an outer approximation in units of 1/g, g = 2^(i+4): the
+    uncovered point residues and the merged arcs of {0}, the cover snapped
+    outward onto the grid, and the mirror image of both."""
+    g = 2 ** (i + 4)
+    pts, arcs = [0], []
+    for lo, hi in cover:
+        (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
+        if hn * ld < ln * hd:
+            raise InvalidCoverGenerator(f"stage {i}: interval ({_fmt(lo)}, {_fmt(hi)}) is reversed")
+        a, b = ln * g // ld, -(-hn * g // hd)
+        if b - a >= g:  # a full turn or more: the whole circle
+            arcs.append((0, g))
+            continue
+        a, b = a % g, b % g
+        if a == b:
+            pts += (a, -a % g)
+            continue
+        for x, y in ((a, b), (-b % g, -a % g)):  # the arc and its mirror image
+            if x < y:
+                arcs.append((x, y))
+            else:  # wraps through 0
+                arcs.append((x, g))
+                if y:
+                    arcs.append((0, y))
+    merged: list[tuple[int, int]] = []
+    for x, y in sorted(arcs):
+        if merged and x <= merged[-1][1]:
+            if y > merged[-1][1]:
+                merged[-1] = (merged[-1][0], y)
+        else:
+            merged.append((x, y))
+    # The arcs are mirror-symmetric, so one ending at g comes with one from 0,
+    # and a point needs no wrap-around test.
+    starts = [x for x, _ in merged]
+    return [p for p in sorted(set(pts)) if not _covers(merged, starts, p, p)], merged
 
 
 def outer_approximation(kspec, stages: int) -> list[RotSet]:
@@ -768,27 +827,23 @@ def outer_approximation(kspec, stages: int) -> list[RotSet]:
     ``kspec`` is either a finite list of closed intervals (points as
     degenerate pairs) reused at every stage, or a callable stage ->
     interval list producing finer covers.  Stage i snaps every endpoint
-    outward to the dyadic grid 2^-(i+4) (exact Fractions), adds 0, and
-    symmetrizes; each stage must contain the next.
+    outward to the dyadic grid g = 2^(i+4), adds 0, and symmetrizes; each
+    stage must contain the next.  A stage runs on integers over g: each
+    end's numerator and denominator give the reversed-interval test and
+    the snap by floor and ceiling, arcs are mirrored as (g - b, g - a),
+    split at 0 and merged, and the nesting test reads the previous stage
+    on the same grid.  RotSet._over then builds the stage's Fractions once.
     """
     if stages < 1:
         raise ValueError("need at least one stage")
     cover: Callable[[int], Sequence] = kspec if callable(kspec) else (lambda i: kspec)
     out: list[RotSet] = []
     for i in range(1, stages + 1):
-        grid = 2 ** (i + 4)
-        snapped = []
-        for lo, hi in cover(i):
-            lo_f, hi_f = Fraction(lo), Fraction(hi)
-            if hi_f < lo_f:
-                raise InvalidCoverGenerator(f"stage {i}: interval {(lo, hi)} is reversed")
-            snapped.append(
-                (Fraction(math.floor(lo_f * grid), grid), Fraction(math.ceil(hi_f * grid), grid))
-            )
-        s = RotSet.build(points=[0], intervals=snapped)
-        if out and not s.is_subset(out[-1]):
+        pts, arcs = _snapped_stage(i, cover(i))
+        if out and not _inside(pts, arcs, *outer):
             raise InvalidCoverGenerator(f"stage {i} is not contained in stage {i - 1}")
-        out.append(s)
+        out.append(RotSet._over(2 ** (i + 4), pts, arcs))
+        outer = {2 * p for p in pts}, [(2 * x, 2 * y) for x, y in arcs]  # on the next grid
     return out
 
 

@@ -18,6 +18,12 @@ multiplication by m is {r + j*L} over L*m, and intersection is a set
 intersection.  The residues are computed once per set, and exact points
 given to from_points are mirrored and de-duplicated as residues too.
 
+One constructor, _over(den, residues, arc pairs), makes every exact set
+over one denominator from normalized integers and builds each endpoint
+Fraction once.  The residue algebra above ends there, and so does each
+stage of forcing's outer approximations, which snaps, mirrors, merges
+and checks nesting on integers over its dyadic grid.
+
 The full circle is one shared instance, returned by full() and by every
 normalization that yields [0, 1] with exact endpoints, so its laws are
 identity tests: its images and preimages under scaling are itself, its
@@ -32,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._kernels import unit_float
 from .circledyn import circ_dist, in_arc
@@ -170,13 +176,26 @@ class RotSet:
         return cls(points=tuple(uniq), intervals=arcs_t)
 
     @classmethod
-    def _from_residues(cls, den: int, rs: Iterable[int]) -> "RotSet":
-        """{r/den : r in rs}; rs must contain 0, lie in [0, den) and be closed
-        under r -> -r mod den.  The result's residue cache is seeded in lowest terms."""
+    def _over(cls, den: int, rs: Iterable[int], arcs: Sequence[tuple[int, int]] = ()) -> "RotSet":
+        """{r/den : r in rs} plus the arcs [a/den, b/den] for (a, b) in arcs.
+
+        rs must lie in [0, den) and be closed under r -> -r mod den; arcs must
+        be tuples, sorted, pairwise disjoint (not even touching), within
+        [0, den] and closed under (a, b) -> (den - b, den - a); no r may lie on
+        an arc, and 0 lies in rs or on an arc.  The Fractions are built here,
+        once; [0, den] gives the shared full circle, and a set without arcs
+        has its residue cache seeded in lowest terms.
+        """
+        if arcs and arcs[0] == (0, den):
+            return _FULL
         rs = sorted(rs)
-        g = math.gcd(den, *rs)
-        s = cls(points=tuple(Fraction(r, den) for r in rs), intervals=())
-        s.__dict__["_residues"] = den // g, tuple(r // g for r in rs)
+        s = cls(
+            points=tuple(Fraction(r, den) for r in rs),
+            intervals=tuple((Fraction(a, den), Fraction(b, den)) for a, b in arcs),
+        )
+        if not arcs:
+            g = math.gcd(den, *rs)
+            s.__dict__["_residues"] = den // g, tuple(r // g for r in rs)
         return s
 
     @classmethod
@@ -196,7 +215,7 @@ class RotSet:
             return cls.build(points=vals)
         den = math.lcm(*(v.denominator for v in vals))
         rs = {v.numerator * (den // v.denominator) % den for v in vals}
-        return cls._from_residues(den, rs | {-r % den for r in rs} | {0})
+        return cls._over(den, rs | {-r % den for r in rs} | {0})
 
     @classmethod
     def from_intervals(cls, intervals: Iterable) -> "RotSet":
@@ -293,7 +312,7 @@ class RotSet:
             return _FULL
         if r := _residues(self):
             den, rs = r
-            return RotSet._from_residues(den, {k * x % den for x in rs})
+            return RotSet._over(den, {k * x % den for x in rs})
         pts = [k * p for p in self.points]
         arcs = []
         for lo, hi in self.intervals:
@@ -311,7 +330,7 @@ class RotSet:
             return _FULL
         if r := _residues(self):
             den, rs = r
-            return RotSet._from_residues(den * m, [x + j * den for j in range(m) for x in rs])
+            return RotSet._over(den * m, [x + j * den for j in range(m) for x in rs])
         pts = []
         arcs = []
         for p in self.points:
@@ -335,7 +354,7 @@ class RotSet:
             den = math.lcm(ra[0], rb[0])
             ys = [y * (den // rb[0]) for y in rb[1]]
             u = den // ra[0]
-            return RotSet._from_residues(den, {(x * u + y) % den for x in ra[1] for y in ys})
+            return RotSet._over(den, {(x * u + y) % den for x in ra[1] for y in ys})
         pts = [p + q for p in self.points for q in other.points]
         arcs = []
         for lo, hi in self.intervals:

@@ -475,6 +475,21 @@ def test_approx_explicit_intervals(capsys):
         assert "0" in stage["points"] or stage["intervals"]
 
 
+@pytest.mark.parametrize("stages", ["0", "-1", "17"])
+def test_approx_refuses_stages_out_of_range_before_any_work(capsys, stages):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["approx", "--cantor", f"--stages={stages}"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1 and out == ""
+    assert err == f"error: --stages must lie in 1..{cli.MAX_APPROX_STAGES}, not {stages}\n"
+
+
+def test_approx_reversed_interval_spells_its_ends_as_the_json_does(capsys):
+    code, out, err = run(capsys, ["approx", "--intervals", "1/3:1/4"])
+    assert code == 1 and out == ""
+    assert err == "error: stage 1: interval (1/3, 1/4) is reversed\n"
+
+
 def test_triangle_rep(capsys):
     doc = run_json(capsys, ["triangle", "2", "3", "7"])
     assert doc["expected"] == ["1/2", "1/3", "1/7"]

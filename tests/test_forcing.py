@@ -3,6 +3,7 @@ its certificates, outer approximation, and interval-group synthesis."""
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotforce import eulerorb, forcing
+from rotforce import cli, eulerorb, forcing, rotset
 from rotforce.forcing import (
     Certificate,
     GroupWord,
@@ -583,6 +584,164 @@ def test_outer_approximation_rejects_bad_covers():
         )
     with pytest.raises(ValueError):
         outer_approximation([(F(1, 4), F(1, 3))], 0)
+
+
+def _ref_middle_thirds_cantor(stage):
+    """The Fraction recursion the integer construction replaced."""
+    ivs = [(F(0), F(1))]
+    for _ in range(stage):
+        nxt = []
+        for lo, hi in ivs:
+            third = (hi - lo) / 3
+            nxt.append((lo, lo + third))
+            nxt.append((hi - third, hi))
+        ivs = nxt
+    return ivs
+
+
+def _ref_outer_approximation(kspec, stages):
+    """The Fraction path the integer stages replaced: snap, then let
+    RotSet.build mirror, sort and merge, and is_subset check nesting."""
+    if stages < 1:
+        raise ValueError("need at least one stage")
+    cover = kspec if callable(kspec) else (lambda i: kspec)
+    out = []
+    for i in range(1, stages + 1):
+        grid = 2 ** (i + 4)
+        snapped = []
+        for lo, hi in cover(i):
+            lo_f, hi_f = F(lo), F(hi)
+            if hi_f < lo_f:
+                raise InvalidCoverGenerator(f"stage {i}: interval ({rotset._fmt(lo)}, {rotset._fmt(hi)}) is reversed")
+            snapped.append((F(math.floor(lo_f * grid), grid), F(math.ceil(hi_f * grid), grid)))
+        s = RotSet.build(points=[0], intervals=snapped)
+        if out and not s.is_subset(out[-1]):
+            raise InvalidCoverGenerator(f"stage {i} is not contained in stage {i - 1}")
+        out.append(s)
+    return out
+
+
+def _approx_outcome(approx, kspec, stages):
+    """Every stage's repr, whether it is the shared full circle, and its
+    residues (cached or computed), or the type and message of what was raised."""
+    try:
+        return [(repr(s), s is RotSet.full(), rotset._residues(s)) for s in approx(kspec, stages)]
+    except Exception as exc:  # noqa: BLE001 - the two paths must fail alike
+        return type(exc), str(exc)
+
+
+def test_middle_thirds_cantor_matches_fraction_recursion():
+    for stage in range(11):
+        ivs = middle_thirds_cantor(stage)
+        assert repr(ivs) == repr(_ref_middle_thirds_cantor(stage))
+    with pytest.raises(ValueError, match="negative"):
+        middle_thirds_cantor(-1)
+
+
+# Ends of every kind the library accepts: Fractions on and off the grid,
+# ints, and floats, negative and past 1, so arcs cross 0 and 1.
+_cover_ends = st.one_of(
+    st.builds(F, st.integers(-40, 80), st.sampled_from([1, 2, 3, 7, 16, 32, 64, 97, 1024, 3**7])),
+    st.integers(-2, 3),
+    st.floats(-1.5, 2.5, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1 / 3, 2**-10, 1 - 2**-53, 5e-324]),
+)
+
+
+_cover_widths = st.one_of(
+    st.just(0),
+    st.builds(F, st.integers(0, 40), st.sampled_from([64, 97, 1024])),
+    st.floats(0, 0.3),
+)
+
+
+@st.composite
+def _cover_lists(draw):
+    """A cover as (lo, hi) pairs, mostly short arcs and some points, now and
+    then two free ends (which may span a full turn) or a reversed pair."""
+    pairs = []
+    for a, w, b, kind in draw(st.lists(st.tuples(_cover_ends, _cover_widths, _cover_ends, st.integers(0, 39)), max_size=6)):
+        if kind < 36:
+            pairs.append((a, a + w))
+        elif kind < 39:
+            pairs.append((a, b) if F(a) <= F(b) else (b, a))
+        else:
+            pairs.append((a, a - w - 1))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cover_lists(), st.lists(_cover_lists(), min_size=6, max_size=6), st.integers(1, 6))
+def test_outer_approximation_matches_fraction_path(fixed, per_stage, stages):
+    # A fixed list nests by construction, and so does one that drops an
+    # interval per stage; covers drawn per stage mostly do not.
+    for kspec in (fixed, lambda i: fixed[i - 1 :], lambda i: per_stage[i - 1]):
+        assert _approx_outcome(outer_approximation, kspec, stages) == _approx_outcome(
+            _ref_outer_approximation, kspec, stages
+        )
+
+
+def test_outer_approximation_matches_fraction_path_on_cantor_stages():
+    for kspec in (middle_thirds_cantor, _ref_middle_thirds_cantor):
+        assert _approx_outcome(outer_approximation, kspec, 8) == _approx_outcome(_ref_outer_approximation, kspec, 8)
+
+
+@pytest.mark.parametrize(
+    "kspec",
+    [
+        [(F(1, 3), F(1, 4))],
+        [(0, 0.5), (0.75, 0.25)],
+        lambda i: [(F(1, 4), F(1, 3))] if i == 1 else [(F(9, 20), F(11, 20))],
+        lambda i: [(F(1, 4), F(1, 3))] if i < 3 else [(F(1, 4), F(1, 3)), (F(1, 2), F(1, 2))],
+    ],
+)
+def test_outer_approximation_fails_as_the_fraction_path(kspec):
+    got = _approx_outcome(outer_approximation, kspec, 3)
+    assert got == _approx_outcome(_ref_outer_approximation, kspec, 3)
+    assert got[0] is InvalidCoverGenerator
+
+
+def test_outer_approximation_reversed_message_spells_ends_as_json():
+    with pytest.raises(InvalidCoverGenerator, match=r"^stage 1: interval \(1/3, 1/4\) is reversed$"):
+        outer_approximation([(F(1, 3), F(1, 4))], 2)
+    with pytest.raises(InvalidCoverGenerator, match=r"^stage 1: interval \(0.5, 1/4\) is reversed$"):
+        outer_approximation([(0.5, F(1, 4))], 2)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["approx", "--cantor", "--stages", "8"], "e7840d2468c50bb2946116185276d992c1336bcb2dc2720f792d9e54f7e07ea6"),
+        (
+            ["approx", "--intervals", "1/7:2/7,0:1/3,99/100:101/100", "--stages", "6"],
+            "4fe7355ed3b6bbe52030e34b91dcef649dc72bdd644e31dae72cc10304747e75",
+        ),
+    ],
+)
+def test_approx_output_keeps_its_bytes(capsys, argv, digest):
+    # SHA-256 of stdout as the Fraction path printed it
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_outer_approximation_makes_no_fraction_comparisons(monkeypatch):
+    # The Fraction path sorted, merged and nested the Cantor stages with
+    # 9,394 comparisons; the integer stages need none.  At most one per cover
+    # interval (2 + 4 + ... + 256 = 510) gates the algorithm, not the
+    # machine's speed.
+    compares = 0
+    richcmp = Fraction._richcmp
+
+    def counting(self, other, op):
+        nonlocal compares
+        compares += 1
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting)
+    stages = outer_approximation(middle_thirds_cantor, 8)
+    monkeypatch.undo()
+    assert len(stages[-1].intervals) == 120
+    assert compares <= 510, compares
 
 
 def test_commuting_sumset_work_stays_near_linear(monkeypatch):

@@ -574,13 +574,13 @@ def test_from_points_matches_build(exact, mixed):
 @given(_sets(_exact, max_arcs=0), _sets(_exact, max_arcs=0), st.lists(_exact, max_size=4), st.integers(1, 6))
 def test_residue_cache_equals_recomputation(a, b, vals, k):
     made = []
-    real = RotSet._from_residues.__func__
+    real = RotSet._over.__func__
 
-    def recording(cls, den, rs):
-        made.append(real(cls, den, rs))
+    def recording(cls, den, rs, arcs=()):
+        made.append(real(cls, den, rs, arcs))
         return made[-1]
 
-    with mock.patch.object(RotSet, "_from_residues", classmethod(recording)):
+    with mock.patch.object(RotSet, "_over", classmethod(recording)):
         c = RotSet.from_points(vals)
         c.minkowski(a).scale_preimage(k).intersect(b.scale_image(k)).minkowski(c)
     assert made
