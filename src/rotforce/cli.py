@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve a deformed-sum equation system")
     p.add_argument("system", help="JSON system file")
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=4096, help="nodes on each scanned axis")
     p.add_argument("--refine-tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_solve)
 

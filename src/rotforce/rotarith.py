@@ -131,7 +131,15 @@ def _cos_sin(t: float) -> tuple[float, float]:
 
 
 def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
-    """Unsigned deformed sum via the arccos formula; Angle-normalized (1 -> 0)."""
+    """Unsigned deformed sum, atan2(|sin|, cos) of the composition's angle; Angle-normalized (1 -> 0).
+
+    The cosine is the arccos-formula argument.  |sin| comes from the
+    composition's off-diagonal entries, sin^2 = up * low - p^2 with the
+    lower-left entry low = sin(pi t1) cos(pi t2) + cos(pi t1) e^-l sin(pi t2),
+    up the same with e^l, and p = sinh(l) sin(pi t1) sin(pi t2) half the
+    difference of the diagonal entries.  So a result near 0 or 1 keeps its
+    digits, where acos of an argument near +-1 would lose them.
+    """
     _check_args(l, t1=t1, t2=t2)
     if l == 0:
         e1, e2 = _as_exact(t1), _as_exact(t2)
@@ -143,8 +151,10 @@ def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     arg = c1 * c2 - math.cosh(l) * s1 * s2
     if abs(arg) > 1.0 + 1e-12:
         raise UndefinedSum(f"formula argument {arg} outside [-1, 1]")
-    arg = min(1.0, max(-1.0, arg))
-    return Angle(math.acos(arg) / math.pi)
+    low = s1 * c2 + c1 * math.exp(-l) * s2
+    up = s1 * c2 + c1 * math.exp(l) * s2
+    p = math.sinh(l) * s1 * s2
+    return Angle(math.atan2(math.sqrt(max(0.0, low * up - p * p)), arg) / math.pi)
 
 
 def plus_l_oracle(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
@@ -165,19 +175,23 @@ def plus_l_oracle(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
     return Angle(elliptic_rotation_number(m))
 
 
+def _cos_sin_array(t) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cos_sin` elementwise, for any real t (folded onto [0, 1) first)."""
+    t = t - np.floor(t)
+    a = np.pi * np.minimum(t, 1.0 - t)
+    return np.copysign(np.cos(a), 0.5 - t), np.sin(a)
+
+
 def plus_l_signed_array(t1, t2, l: float):
     """Vectorized signed deformed sum; NaN where the composition is not elliptic.
 
     Closed form for the same composition :func:`plus_l_oracle` builds:
     the cosine of the result is the arccos-formula argument and the sign
     of its sine matches the composition's lower-left matrix entry
-    sin(pi t1) cos(pi t2) + cos(pi t1) e^{-l} sin(pi t2).
+    sin(pi t1) cos(pi t2) + cos(pi t1) e^{-l} sin(pi t2).  Sines and
+    cosines are taken at min(t, 1 - t), as :func:`plus_l` takes them.
     """
-    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-    a1 = np.pi * (t1 - np.floor(t1))
-    a2 = np.pi * (t2 - np.floor(t2))
-    c1, s1 = np.cos(a1), np.sin(a1)
-    c2, s2 = np.cos(a2), np.sin(a2)
+    (c1, s1), (c2, s2) = _cos_sin_array(np.asarray(t1, dtype=float)), _cos_sin_array(np.asarray(t2, dtype=float))
     arg = c1 * c2 - np.cosh(l) * s1 * s2
     low = s1 * c2 + c1 * math.exp(-l) * s2
     sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
@@ -340,10 +354,11 @@ class SolutionSet:
         return [r.value.value for r in self.roots]
 
 
-def _residual_vec(system: EquationSystem, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Stacked wrapped differences, shape (m, ...); NaN marks undefined sums."""
+def _residual_vec(system: EquationSystem, env: dict[str, np.ndarray], shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Stacked wrapped differences, shape (m, ...), each broadcast to ``shape``
+    at least; NaN marks undefined sums."""
     rows = [wrap_diff(_eval_expr(lhs, env), _eval_expr(rhs, env)) for lhs, rhs in system.equations]
-    shape = np.broadcast_shapes(*(np.shape(r) for r in rows))
+    shape = np.broadcast_shapes(shape, *(np.shape(r) for r in rows))
     return np.stack([np.broadcast_to(r, shape) for r in rows])
 
 
@@ -414,77 +429,197 @@ def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.
     return x if _rho(system, x) <= refine_tol else None
 
 
-# grid nodes per block of the scan, whole rows along the first axis (a
-# 40^4 grid's row is 64,000 nodes): 512 KiB per float64 temporary
+# grid nodes per block of the scan, whole rows along the first scanned axis
+# (a 40^4 grid's row is 64,000 nodes): 512 KiB per float64 temporary
 _SCAN_BLOCK_NODES = 1 << 16
+# most nodes on one scanned axis
+_MAX_GRID = 1 << 20
 _PLATEAU = "residual vanishes along a grid run; solution set has interior"
+
+
+def _occurrences(expr: Expr, name: str) -> int:
+    if isinstance(expr, Var):
+        return int(expr.name == name)
+    if isinstance(expr, PlusL):
+        return _occurrences(expr.left, name) + _occurrences(expr.right, name)
+    return 0
+
+
+def _solvable(lhs: Expr, rhs: Expr, known: set[str]) -> tuple[str, Expr, Expr] | None:
+    """(variable, side holding it, other side) when the equation holds one
+    variable outside ``known``, and holds it once; otherwise None."""
+    free = (_variables_in(lhs) | _variables_in(rhs)) - known
+    if len(free) != 1:
+        return None
+    (name,) = free
+    on_lhs, on_rhs = _occurrences(lhs, name), _occurrences(rhs, name)
+    if on_lhs + on_rhs != 1:
+        return None
+    return (name, lhs, rhs) if on_lhs else (name, rhs, lhs)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How the scan visits a system.
+
+    ``scanned`` are the grid axes, ``per_dim`` nodes each.  Each step
+    (variable, side holding it, other side) then solves one equation for
+    the one variable in it that is not yet known (:func:`_eliminate`), and
+    ``leftover`` holds the equations no step used: their residuals are the
+    ones bracketed on the grid.
+    """
+
+    scanned: tuple[str, ...]
+    per_dim: int
+    steps: tuple[tuple[str, Expr, Expr], ...]
+    leftover: EquationSystem
+
+    def solve(self, env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """env, the scanned variables' values, with every step's variable added."""
+        for name, side, other in self.steps:
+            env[name] = _eliminate(env, name, side, other)
+        return env
+
+
+def _plan(system: EquationSystem, grid: int) -> _Plan:
+    """The plan that scans the fewest variables, the first such set in the
+    declared order, with every other variable solved for by some chain of
+    steps.  Which variables a chain reaches does not depend on the order of
+    its steps, so the steps go in equation order.  When nothing can be
+    solved for, every variable is scanned, in the declared order: the scan
+    is then the plain grid scan of the whole system.
+    """
+    d = len(system.variables)
+    for mask in sorted(range(1, 1 << d), key=int.bit_count):
+        scanned = tuple(v for i, v in enumerate(system.variables) if mask >> i & 1)
+        known, leftover, steps = set(scanned), list(system.equations), []
+        i = 0
+        while i < len(leftover):
+            step = _solvable(*leftover[i], known)
+            if step is None or step[0] not in system.variables:
+                i += 1
+                continue
+            steps.append(step)
+            known.add(step[0])
+            del leftover[i]
+            i = 0
+        if known == set(system.variables):
+            s = len(scanned)
+            per_dim = grid if s == 1 else min(grid, {2: 1024, 3: 128, 4: 40}[s])
+            return _Plan(scanned, per_dim, tuple(steps), EquationSystem(system.variables, leftover))
+    raise AssertionError("scanning every variable leaves none to solve for")
+
+
+def _sum_inverse(k, c, l: float, unknown_left: bool) -> np.ndarray:
+    """The v with v +_l k = c (``unknown_left``) or k +_l v = c, signed.
+
+    With R cos(phi) = cos(pi k) and R sin(phi) = cosh(l) sin(pi k), the
+    formula argument is R cos(pi v + phi) on v in [0, 1), and it is
+    +-cos(pi c) where pi v + phi = +-beta (mod pi), cos(beta) =
+    cos(pi c) / R: two points v of the circle.  As v runs once round, the
+    composition's rotation number rises by 1, strictly on the one arc
+    where the composition is elliptic, so it meets c there once: one of
+    the two points has the signed sum c, the other -c.  The one kept is
+    the one whose sum is nearer c.  R^2 - cos^2(pi c) is
+    sinh^2(l) sin^2(pi k) + sin^2(pi c), so beta is taken by atan2, with
+    no difference of two numbers near 1.
+    """
+    (ck, sk), (cc, sc) = _cos_sin_array(k), _cos_sin_array(c)
+    phase = np.arctan2(math.cosh(l) * sk, ck)
+    beta = np.arctan2(np.hypot(math.sinh(l) * sk, sc), cc)
+    v = unit((np.stack((beta, -beta)) - phase) / np.pi)
+    s = plus_l_signed_array(v, k, l) if unknown_left else plus_l_signed_array(k, v, l)
+    return np.where(np.abs(wrap_diff(s[0], c)) <= np.abs(wrap_diff(s[1], c)), v[0], v[1])
+
+
+def _eliminate(env: dict[str, np.ndarray], name: str, side: Expr, other: Expr) -> np.ndarray:
+    """The value of ``name`` that solves side = other, every other variable
+    of the equation bound in env: the sums above it in side are inverted
+    outermost first.  NaN where a known sum is undefined."""
+    c = _eval_expr(other, env)
+    while isinstance(side, PlusL):
+        on_left = name in _variables_in(side.left)
+        inner, known = (side.left, side.right) if on_left else (side.right, side.left)
+        c = _sum_inverse(_eval_expr(known, env), c, side.l, on_left)
+        side = inner
+    return c
 
 
 def _scan(system: EquationSystem, grid: int, refine_tol: float) -> Iterator[np.ndarray]:
     """Polished roots started from every grid cell that brackets a zero of
     each residual, polished one at a time as they are consumed.
 
-    The grid has ``grid`` nodes per axis for one variable and at most
-    1024, 128 and 40 for two, three and four.  It is evaluated in blocks
-    of whole rows along the first axis, at most ``_SCAN_BLOCK_NODES``
-    (2^16) nodes each, so its memory follows the block, not the number of
-    variables: a few MiB per equation (2.0 to 3.3 MiB measured on two to
-    four variables, where the whole grid took 21 to 42).  Every node is
-    evaluated once: the tests of a row need the next three rows, which
-    are carried over from block to block, and the first three rows close
-    the wrap.  The start cells and their order are those of a scan of the
-    whole grid at once, and a plateau raises ``NonDiscrete`` before any
-    polish.
+    Only the variables of :func:`_plan` are scanned; the others are solved
+    for in closed form on every grid node, and the residuals of the
+    equations left over are bracketed on the scanned axes.  A start is
+    the cell centre on the scanned axes with the other variables solved
+    for there.  The grid has ``grid`` nodes per scanned axis for one
+    scanned variable and at most 1024, 128 and 40 for two, three and four.
+    When nothing can be solved for, every variable is scanned.
+
+    The grid is evaluated in blocks of whole rows along the first scanned
+    axis, at most ``_SCAN_BLOCK_NODES`` (2^16) nodes each, so its memory
+    follows the block, not the number of variables: a few MiB per equation
+    (2.0 to 3.3 MiB measured on two to four scanned variables, where the
+    whole grid took 21 to 42).  Every node is evaluated once: the tests of
+    a row need the next three rows, which are carried over from block to
+    block, and the first three rows close the wrap.  The start cells and
+    their order are those of a scan of the whole grid at once, and a
+    plateau raises ``NonDiscrete`` before any polish.
     """
     d = len(system.variables)
     if len(system.equations) < d:
         raise NonDiscrete(f"{len(system.equations)} equations cannot isolate {d} torus variables")
-    per_dim = grid if d == 1 else min(grid, {2: 1024, 3: 128, 4: 40}[d])
+    plan = _plan(system, grid)
+    s, per_dim = len(plan.scanned), plan.per_dim
     nodes = np.arange(per_dim) / per_dim
-    rows = max(1, _SCAN_BLOCK_NODES // per_dim ** (d - 1))
-    starts = []
+    rows = max(1, _SCAN_BLOCK_NODES // per_dim ** (s - 1))
+    cells = []
     done = 0  # rows before the window have their start cells
     head = window = None
     for lo in range(0, per_dim, rows):
-        block = _scan_rows(system, nodes, lo, min(lo + rows, per_dim))
+        block = _scan_rows(plan, nodes, lo, min(lo + rows, per_dim))
         window = block if window is None else tuple(map(np.concatenate, zip(window, block)))
         if head is None and len(window[0]) >= min(3, per_dim):
             head = tuple(w[:3].copy() for w in window)
         ready = len(window[0]) - 3
         if ready > 0:
-            starts.append(_scan_cells(window, ready, done))
+            cells.append(_scan_cells(window, ready, done))
             window = tuple(w[ready:] for w in window)
             done += ready
     wrap = [k % per_dim for k in range(3)]  # rows per_dim .. per_dim + 2 of the torus
     window = tuple(np.concatenate((w, h[wrap])) for w, h in zip(window, head))
-    starts.append(_scan_cells(window, per_dim - done, done))
-    starts = (np.concatenate(starts) + 0.5) / per_dim
-    return (p for p in (_polish(system, s, refine_tol) for s in starts) if p is not None)
+    cells.append(_scan_cells(window, per_dim - done, done))
+    centres = (np.concatenate(cells) + 0.5) / per_dim
+    env = plan.solve(dict(zip(plan.scanned, centres.T)))
+    starts = np.column_stack([np.broadcast_to(env[v], len(centres)) for v in system.variables])
+    return (p for p in (_polish(system, x0, refine_tol) for x0 in starts) if p is not None)
 
 
-def _scan_rows(system: EquationSystem, nodes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _scan_rows(plan: _Plan, nodes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row scan flags for grid rows lo..hi-1, both with the row first.
 
-    ``zero`` marks nodes where every residual is below 1e-9.  A run of four
-    is a plateau of zeros, so the solution set is not discrete; along any
-    axis but the first it raises ``NonDiscrete`` here.  A cell is kept when
-    every residual is <= 0 at one corner, >= 0 at one corner and small
-    (below 1/4, so the +-1/2 wrap is no sign change) at one corner.
-    ``near`` holds those three flags per residual, OR-ed over the row's
-    2^(d-1) corners of the cell one axis at a time.
+    ``zero`` marks nodes where every leftover residual is below 1e-9.  A
+    run of four is a plateau of zeros, so the solution set is not discrete;
+    along any scanned axis but the first it raises ``NonDiscrete`` here.  A
+    cell is kept when every residual is <= 0 at one corner, >= 0 at one
+    corner and small (below 1/4, so the +-1/2 wrap is no sign change) at
+    one corner.  ``near`` holds those three flags per residual, OR-ed over
+    the row's 2^(s-1) corners of the cell one axis at a time, for s
+    scanned variables.
     """
-    d = len(system.variables)
-    mesh = np.meshgrid(nodes[lo:hi], *[nodes] * (d - 1), indexing="ij", sparse=True)
-    res = _residual_vec(system, dict(zip(system.variables, mesh)))
-    res = np.moveaxis(np.broadcast_to(res, (len(res), hi - lo) + (len(nodes),) * (d - 1)), 0, 1)
+    s = len(plan.scanned)
+    mesh = np.meshgrid(nodes[lo:hi], *[nodes] * (s - 1), indexing="ij", sparse=True)
+    env = plan.solve(dict(zip(plan.scanned, mesh)))
+    res = np.moveaxis(_residual_vec(plan.leftover, env, (hi - lo,) + (len(nodes),) * (s - 1)), 0, 1)
     mag = np.abs(res)
     zero = (mag < 1e-9).all(axis=1)
-    for axis in range(1, d):
+    for axis in range(1, s):
         pair = zero & np.roll(zero, -1, axis)
         if (pair & np.roll(pair, -2, axis)).any():
             raise NonDiscrete(_PLATEAU)
     near = np.concatenate((res <= 0, res >= 0, mag < 0.25), axis=1)
-    for axis in range(2, d + 1):
+    for axis in range(2, s + 1):
         near |= np.roll(near, -1, axis)
     return zero, near
 
@@ -504,25 +639,32 @@ def _scan_cells(window: tuple[np.ndarray, np.ndarray], n: int, first: int) -> np
 def solve_system(system: EquationSystem, grid: int = 4096, refine_tol: float = 1e-10) -> SolutionSet:
     """All isolated roots of the equation system on the torus.
 
-    One grid scan (``grid`` nodes per axis for one variable, at most 1024,
-    128 and 40 for two, three and four) brackets zeros of the wrapped
-    residuals; damped Gauss-Newton polishes each bracket to ``refine_tol``.
-    The scan streams the grid in blocks of at most 2^16 nodes, so its
-    memory is a few MiB per equation for any number of variables.
+    One grid scan brackets zeros of the wrapped residuals, and damped
+    Gauss-Newton polishes each bracket to ``refine_tol``.  The scan covers
+    only the variables that cannot be solved for: a variable that occurs
+    once in an equation whose other variables are known gets its one value
+    in closed form (see :func:`_scan`).
+    ``grid`` is the number of nodes on each scanned axis: all of it when
+    one axis is scanned, at most 1024, 128 and 40 when two, three and four
+    are.  So a system such as x +_l y = a, x +_0 x = b scans x alone.  The
+    scan streams the grid in blocks of at most 2^16 nodes, so its memory is
+    a few MiB per equation for any number of variables.
     The roots are deduped, filtered by the constraint arcs, and reported
     each with an isolation radius on which the residual is observed to
-    stay above 10x ``refine_tol``.  A ``grid`` below 1, a ``refine_tol``
-    that is not finite and positive, or a constraint naming no declared
-    variable raises ``ValueError``.  A declared variable that appears in
-    no equation, or a polished root where the residual Jacobian has rank
-    below the number of variables, raises ``NonDiscrete``: the zero set
-    runs on through that root.
+    stay above 10x ``refine_tol``.  A ``grid`` outside 1 to 2^20, a
+    ``refine_tol`` that is not finite and positive, or a constraint naming
+    no declared variable raises ``ValueError``.  A declared variable that
+    appears in no equation, or a polished root where the residual Jacobian
+    has rank below the number of variables, raises ``NonDiscrete``: the
+    zero set runs on through that root.
     """
     d = len(system.variables)
     if not 1 <= d <= 4:
         raise ValueError("between 1 and 4 variables required")
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
+    if grid > _MAX_GRID:
+        raise ValueError(f"grid must be at most {_MAX_GRID}, got {grid}")
     if not 0 < refine_tol < math.inf:
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     if not system.equations:

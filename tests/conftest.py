@@ -111,7 +111,19 @@ def _mp_plus_l(t1, t2, l):
         return float(mpmath.acos(arg) / mpmath.pi)
 
 
+def _mp_plus_l_signed(t1, t2, l):
+    """``rotarith.plus_l_signed_array`` at 50 digits: the arccos formula, mirrored
+    to 1 - theta where the composition's lower-left entry is negative."""
+    with mpmath.workdps(50):
+        t1, t2, l = mpmath.mpf(t1), mpmath.mpf(t2), mpmath.mpf(l)
+        arg = mpmath.cospi(t1) * mpmath.cospi(t2) - mpmath.cosh(l) * mpmath.sinpi(t1) * mpmath.sinpi(t2)
+        low = mpmath.sinpi(t1) * mpmath.cospi(t2) + mpmath.cospi(t1) * mpmath.exp(-l) * mpmath.sinpi(t2)
+        theta = mpmath.acos(arg) / mpmath.pi
+        return float(theta if low > 0 else 1 - theta)
+
+
 @pytest.fixture(scope="session")
 def mp50():
-    """50-digit references: ``word_lift_total(f, n)`` and ``plus_l(t1, t2, l)``."""
-    return types.SimpleNamespace(word_lift_total=_mp_word_lift_total, plus_l=_mp_plus_l)
+    """50-digit references: ``word_lift_total(f, n)``, ``plus_l(t1, t2, l)``
+    and ``plus_l_signed(t1, t2, l)``."""
+    return types.SimpleNamespace(word_lift_total=_mp_word_lift_total, plus_l=_mp_plus_l, plus_l_signed=_mp_plus_l_signed)

@@ -527,6 +527,13 @@ def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_solve_grid_help_names_the_scanned_axes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "nodes on each scanned axis" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -539,6 +546,9 @@ def test_bad_numbers_exit_1_naming_the_argument(capsys, argv, message):
         (["solve", "SYSTEM", "--refine-tol", "inf"], "refine_tol must be finite and > 0, got inf"),
         # once reported a trace check over -5 samples
         (["quat", "analyze", "ALGEBRA", "--samples", "-5"], "--samples must be at least 0, got -5"),
+        # one scanned axis of --grid nodes: a huge grid would hold every node at once
+        (["solve", "SYSTEM", "--grid", "1048577"], "grid must be at most 1048576, got 1048577"),
+        (["solve", "SYSTEM", "--grid", str(10**12)], f"grid must be at most 1048576, got {10**12}"),
     ],
 )
 def test_counts_and_tolerances_outside_their_domain_exit_1(tmp_path, capsys, argv, message):

@@ -301,6 +301,32 @@ def test_plus_l_near_one_matches_fifty_digit_reference(u, l, f, mp50):
     assert circ_dist(plus_l(0.99999999992, 0.468, 19.9).value, mp50.plus_l(0.99999999992, 0.468, 19.9)) <= 1e-15
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    t1=st.floats(0.05, 0.95),
+    u=st.floats(-9.0, -2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    f=st.floats(0.0, 1.0),
+    x=st.floats(0.0, 1.0),
+    y=st.floats(0.0, 1.0),
+)
+def test_plus_l_near_zero_and_one_matches_fifty_digit_reference(t1, u, sign, f, x, y, mp50):
+    # acos of an argument near +-1 kept few digits of a result near 0 or
+    # 1: plus_l(0.8660117112511226, 0.1328896241094284, 0.004902531889606598)
+    # = 0.99910... was off by 1.07e-14.  Its family: t1 + t2 within delta
+    # of 1, with l so small that t2 stays delta / 2 inside the domain, and
+    # two angles below delta at any l; the sum is within about 2 delta of 1
+    # or 0, and was up to 6e-9 off
+    delta = 10.0**u
+    t2, l = (sign * delta - t1) % 1.0, 5.0 * f * delta
+    assume(math.sinh(l) * math.sin(math.pi * t1) <= math.tan(math.pi * delta / 2))
+    assert circ_dist(plus_l(t1, t2, l).value, mp50.plus_l(t1, t2, l)) <= 1e-15
+    small, l = (x * delta, y * delta), 1.5 * f
+    assert circ_dist(plus_l(*small, l).value, mp50.plus_l(*small, l)) <= 1e-15
+    probe = (0.8660117112511226, 0.1328896241094284, 0.004902531889606598)
+    assert circ_dist(plus_l(*probe).value, mp50.plus_l(*probe)) <= 1e-15
+
+
 def test_divide_exact():
     r = divide(Fraction(1, 7), 3, (0.0, 0.2))
     assert r.exact == Fraction(1, 21)
@@ -355,6 +381,14 @@ def test_solver_respects_constraints():
     # whole circle: both doubling preimages of 2/5 lie on each of these
     for arc in ((-0.4, 0.25), (0.6, 1.25), (-0.5, 0.5), (0.3, 1.3)):
         assert solve(arc) == pytest.approx([0.2, 0.7], abs=1e-9)
+
+
+def test_solver_grid_is_bounded():
+    # every system that solves for a variable scans one axis of `grid` nodes
+    doubling = EquationSystem(variables=["t"], equations=[(PlusL(0.0, Var("t"), Var("t")), Const(Angle(0.4)))])
+    with pytest.raises(ValueError, match=f"grid must be at most {2**20}, got {2**20 + 1}"):
+        solve_system(doubling, grid=2**20 + 1)
+    assert solve_system(doubling, grid=2**20).values() == pytest.approx([0.2, 0.7], abs=1e-12)
 
 
 def test_solver_rejects_constraint_on_undeclared_variable():
@@ -441,17 +475,23 @@ def test_solver_underdetermined_rejected():
 
 
 def test_solver_curve_of_zeros_rejected():
-    # each zero set is a curve or more, which meets the grid as hundreds of
-    # bracketed cells; no run of grid nodes lies on it
+    # each zero set is a curve or more.  Scanned on every axis it meets the
+    # grid as hundreds of bracketed cells and no run of grid nodes lies on
+    # it, so a polished root shows the rank.  Where y (and z) are solved for
+    # along the scanned x, the leftover residual vanishes along the whole
+    # axis, a run of grid nodes
     half, two_fifths = Const(Angle(exact=Fraction(1, 2))), Const(Angle(exact=Fraction(2, 5)))
     sum_xy = (PlusL(0.0, Var("x"), Var("y")), half)
     doubling = (PlusL(0.0, Var("x"), Var("x")), two_fifths)
-    rank = "rank < "
+    xy = PlusL(0.0, Var("x"), Var("y"))
+    sum_doubled = (PlusL(0.0, xy, xy), two_fifths)  # x and y twice: nothing is solved for
+    rank, run = "rank < ", "grid run"
     cases = [
-        (["x", "y"], [sum_xy, sum_xy], rank),
+        (["x", "y"], [sum_xy, sum_xy], run),
         (["x", "y"], [doubling, doubling], "'y' appear in no equation"),
-        (["x", "y"], [sum_xy, (PlusL(0.0, Var("y"), Var("x")), half)], rank),
-        (["x", "y", "z"], [sum_xy, sum_xy, (PlusL(0.3, Var("z"), Var("x")), half)], rank),
+        (["x", "y"], [sum_xy, (PlusL(0.0, Var("y"), Var("x")), half)], run),
+        (["x", "y", "z"], [sum_xy, sum_xy, (PlusL(0.3, Var("z"), Var("x")), half)], run),
+        (["x", "y"], [sum_doubled, sum_doubled], rank),
     ]
     for variables, equations, reason in cases:
         with pytest.raises(NonDiscrete, match=reason):
@@ -468,20 +508,23 @@ def test_solver_no_solution():
         solve_system(system)
 
 
+# the system `rotforce solve` answers in the benchmark, x +_l y = a, x +_0 x = b
+_BENCHMARK_2D = EquationSystem(
+    variables=["x", "y"],
+    equations=[
+        (PlusL(0.7, Var("x"), Var("y")), Const(Angle(0.3))),
+        (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.55))),
+    ],
+)
+
+
 def test_two_variable_scan_allocation_peak():
-    # The benchmark-shaped 2-D system, the one `rotforce solve` answers on a
-    # 1024^2 grid.  The scan holds one block of about 2^16 nodes at a time
-    # and peaks near 4 MiB; the former full-grid scan peaked near 41 MiB.
-    system = EquationSystem(
-        variables=["x", "y"],
-        equations=[
-            (PlusL(0.7, Var("x"), Var("y")), Const(Angle(0.3))),
-            (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.55))),
-        ],
-    )
+    # It scans x alone on 4096 nodes and solves for y; scanned on a 1024^2
+    # grid in blocks of 2^16 nodes it peaked near 4 MiB, and the former
+    # full-grid scan near 41 MiB.
     tracemalloc.start()
     try:
-        sols = solve_system(system)
+        sols = solve_system(_BENCHMARK_2D)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,13 +532,18 @@ def test_two_variable_scan_allocation_peak():
     assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def _chain_system(d: int) -> EquationSystem:
-    """d equations t_i +_l t_(i+1) = c_i around a cycle of d variables, solved by _CHAIN_POINT."""
+def _chain_system(d: int, doubled: bool = False) -> EquationSystem:
+    """d equations t_i +_l t_(i+1) = c_i around a cycle of d variables, solved by _CHAIN_POINT.
+
+    ``doubled`` takes s +_0 s = 2 c_i for each sum s instead: every
+    variable then occurs twice in each equation, so none is solved for and
+    the scan covers every axis."""
     names = list(_CHAIN_POINT)[:d]
     equations = []
     for i, l in enumerate((0.7, 0.4, 0.0, 1.1)[:d]):
         a, b = names[i], names[(i + 1) % d]
-        equations.append((PlusL(l, Var(a), Var(b)), Const(plus_l_oracle(_CHAIN_POINT[a], _CHAIN_POINT[b], l))))
+        s, c = PlusL(l, Var(a), Var(b)), plus_l_oracle(_CHAIN_POINT[a], _CHAIN_POINT[b], l).value
+        equations.append((PlusL(0.0, s, s), Const(Angle(2 * c))) if doubled else (s, Const(Angle(c))))
     return EquationSystem(variables=names, equations=equations)
 
 
@@ -507,7 +555,8 @@ def test_three_and_four_variable_scan_allocation_peak(d):
     # 128^3 and 40^4 grid nodes; the former full-grid scan peaked near 102
     # and 166 MiB.  A 40^4 row is 64,000 nodes, one row per block.  Starts
     # are collected, not polished: the bound is on the scan.
-    system = _chain_system(d)
+    system = _chain_system(d, doubled=True)
+    assert rotarith._plan(system, 4096).scanned == tuple(system.variables)
     tracemalloc.start()
     try:
         starts = _scan_starts(rotarith._scan, system, 4096)
@@ -586,7 +635,7 @@ def _assert_same_starts(a, b):
     if isinstance(a, str):
         assert a == b
     else:
-        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
+        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), (a, b)
 
 
 def _random_system(seed: int, d: int) -> EquationSystem:
@@ -615,6 +664,38 @@ def _random_system(seed: int, d: int) -> EquationSystem:
     return EquationSystem(variables=names, equations=equations)
 
 
+def _is_identity(lhs, rhs) -> bool:
+    """Whether the equation holds at every point where it is defined."""
+    return lhs == rhs or not (rotarith._variables_in(lhs) | rotarith._variables_in(rhs))
+
+
+def _assert_same_solve(system):
+    """The solve against one with the former full-grid scan swapped in, both
+    at the default grid (40^4, 128^3 or 1024^2 nodes for the former scan).
+
+    Both raise the same exception type, or every former root is a root
+    within 1e-9.  A root only the scan with elimination finds must have a
+    residual within refine_tol, where the former scan raised NoSolution
+    too.  The one other outcome allowed: the former scan finds no root and
+    the new one a run of zeros, where fewer equations than variables are
+    not identities, so that the zero set, if not empty, is not discrete.
+    """
+    new, old = _solve_outcome(system, 4096), _solve_outcome(system, 4096, _former_scan)
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        if isinstance(new, tuple) and isinstance(old, tuple) and new[0] is old[0]:
+            return
+        assert isinstance(old, tuple) and old[0] is NoSolution, (new, old)
+        if isinstance(new, tuple):
+            assert new[0] is NonDiscrete and "grid run" in new[1], (new, old)
+            assert sum(not _is_identity(*eq) for eq in system.equations) < len(system.variables)
+            return
+        old = rotarith.SolutionSet(roots=())
+    found = [np.array(list(r.assignment.values())) for r in new.roots]
+    for r in old.roots:
+        assert any(np.abs(wrap_diff(list(r.assignment.values()), f)).max() <= 1e-9 for f in found), (r, new)
+    assert all(r.residual <= 1e-10 for r in new.roots)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -624,13 +705,21 @@ def _random_system(seed: int, d: int) -> EquationSystem:
 )
 def test_streamed_scan_matches_full_grid_scan(seed, d, grid, block):
     # grids below 8 repeat the wrap rows; small blocks cross many block
-    # boundaries, down to one row per block
+    # boundaries, down to one row per block.  A system that scans every
+    # variable has the former scan's starts.  One that solves for some has
+    # the same starts in every block size, and the former scan's solve
+    # outcome at the default grid
     system = _random_system(seed, d)
     # a system with no variable at all has no grid to scan
     assume(any(rotarith._variables_in(lhs) for lhs, _ in system.equations))
     grid = grid if d == 1 or grid < 200 else {2: 64, 3: 16, 4: 9}[d]
+    starts = _scan_starts(rotarith._scan, system, grid, block)
+    if len(rotarith._plan(system, grid).scanned) < d:
+        _assert_same_starts(starts, _scan_starts(rotarith._scan, system, grid))
+        _assert_same_solve(system)
+        return
     former = _scan_starts(_former_scan, system, grid)
-    _assert_same_starts(_scan_starts(rotarith._scan, system, grid, block), former)
+    _assert_same_starts(starts, former)
     if isinstance(former, str) or len(former) <= 6:
         assert _solve_outcome(system, grid) == _solve_outcome(system, grid, _former_scan)
 
@@ -667,17 +756,42 @@ def test_streamed_scan_runs_across_the_wrap():
 
 
 def test_streamed_scan_matches_full_grid_scan_at_full_resolution():
-    # the benchmark's 2-D system: 16 blocks of 64 rows
+    # the benchmark's 2-D system with its sum doubled, so that nothing is
+    # solved for: 16 blocks of 64 rows of a 1024^2 grid
+    sum_ = PlusL(0.7, Var("x"), Var("y"))
     system = EquationSystem(
         variables=["x", "y"],
         equations=[
-            (PlusL(0.7, Var("x"), Var("y")), Const(Angle(0.3))),
+            (PlusL(0.0, sum_, sum_), Const(Angle(0.6))),
             (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.55))),
         ],
     )
+    assert rotarith._plan(system, 4096).scanned == ("x", "y")
     starts = _scan_starts(rotarith._scan, system, 4096)
     assert len(starts) > 0
     _assert_same_starts(starts, _scan_starts(_former_scan, system, 4096))
+
+
+@pytest.mark.parametrize("system", [_BENCHMARK_2D, _chain_system(3), _chain_system(4)], ids=["2d", "chain3", "chain4"])
+def test_solve_by_elimination_matches_full_grid_solve(system):
+    # one scanned axis; the former scan took 1024^2, 128^3 and 40^4 nodes
+    assert rotarith._plan(system, 4096).scanned == ("x",)
+    _assert_same_solve(system)
+    if system is not _BENCHMARK_2D:
+        point = [_CHAIN_POINT[v] for v in system.variables]
+        roots = [list(r.assignment.values()) for r in solve_system(system).roots]
+        assert any(np.abs(wrap_diff(r, point)).max() <= 1e-9 for r in roots), roots
+
+
+def test_benchmark_system_scans_one_axis():
+    # it scans x and solves for y: no 2-D mesh is built
+    axes = []
+    meshgrid = np.meshgrid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "meshgrid", lambda *xi, **kw: axes.append(len(xi)) or meshgrid(*xi, **kw))
+        sols = solve_system(_BENCHMARK_2D)
+    assert axes and set(axes) == {1}
+    assert sorted(r.assignment["x"] for r in sols.roots) == pytest.approx([0.275, 0.775], abs=1e-12)
 
 
 _EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, -1e-17, 1.0, -1.0, 0.5, -0.5]
@@ -692,10 +806,11 @@ def test_floor_fraction_is_float_mod_bit_for_bit(xs):
 
 
 def _former_plus_l_signed_array(t1, t2, l):
-    a1 = np.pi * (np.asarray(t1, dtype=float) % 1.0)
-    a2 = np.pi * (np.asarray(t2, dtype=float) % 1.0)
-    c1, s1 = np.cos(a1), np.sin(a1)
-    c2, s2 = np.cos(a2), np.sin(a2)
+    """The signed sum folded by float mod, sines and cosines taken at min(t, 1 - t)."""
+    t1, t2 = np.asarray(t1, dtype=float) % 1.0, np.asarray(t2, dtype=float) % 1.0
+    a1, a2 = np.pi * np.minimum(t1, 1.0 - t1), np.pi * np.minimum(t2, 1.0 - t2)
+    c1, s1 = np.copysign(np.cos(a1), 0.5 - t1), np.sin(a1)
+    c2, s2 = np.copysign(np.cos(a2), 0.5 - t2), np.sin(a2)
     arg = c1 * c2 - np.cosh(l) * s1 * s2
     low = s1 * c2 + c1 * math.exp(-l) * s2
     sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
@@ -704,9 +819,10 @@ def _former_plus_l_signed_array(t1, t2, l):
 
 
 def test_signed_sum_and_wrap_diff_match_former_float_mod():
-    # the 1024^2 grid at l = 0 holds 8 nodes where the lower-left entry
-    # cancels to exactly +0.0 with a nonzero sine: np.copysign would give
-    # those the other sign, the former np.where gives the negative one
+    # the 1024^2 grid at l = 0 holds 168 nodes (t2 = 1 - t1) where the
+    # lower-left entry cancels to exactly +0.0 with a nonzero sine:
+    # np.copysign would give those the other sign, the former np.where
+    # gives the negative one
     rng = np.random.default_rng(7)
     nodes = np.arange(1024) / 1024
     edges = np.array(_EDGES[:2] + _EDGES[5:])
@@ -723,6 +839,20 @@ def test_signed_sum_and_wrap_diff_match_former_float_mod():
         with np.errstate(invalid="ignore"):
             former = (a - t2 + 0.5) % 1.0 - 0.5
         assert np.array_equal(wrap_diff(t1, t2).view(np.uint64), np.asarray(former).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(-12.0, -3.0), l=st.floats(0.0, 20.0), f=st.floats(0.01, 0.99))
+def test_signed_sum_near_one_matches_fifty_digit_reference(u, l, f, mp50):
+    # sin of the rounded product pi t kept few digits of pi (1 - t): at
+    # (0.99999999992, 0.3, 19.9) the signed sum was off by 6.8e-9
+    t1 = 1.0 - 10.0**u
+    di = domain_interval(l, t1)
+    t2 = (di.lo + f * di.length()) % 1.0
+    for a, b in ((t1, t2), (t2, t1)):
+        assert circ_dist(float(plus_l_signed_array(a, b, l)), mp50.plus_l_signed(a, b, l)) <= 1e-14
+    far = (0.99999999992, 0.3, 19.9)
+    assert circ_dist(float(plus_l_signed_array(*far)), mp50.plus_l_signed(*far)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
