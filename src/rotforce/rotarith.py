@@ -9,7 +9,7 @@ At l = 0 this is ordinary addition mod 1; it is even in l.  The arccos
 form folds the result onto [0, 1]; the *signed* value (the honest
 rotation number of the composition) is recovered either by composing the
 matrices (:func:`plus_l_oracle`) or from the closed form for the
-composition's lower-left entry (:func:`plus_l_signed_array`).  Equation
+composition's entries (:func:`plus_l_signed_array`).  Equation
 solving works with the signed semantics throughout -- that is what makes
 ``x +_0 x = 0.4`` have the doubling preimages {0.2, 0.7}.
 """
@@ -130,16 +130,22 @@ def _cos_sin(t: float) -> tuple[float, float]:
     return math.copysign(math.cos(math.pi * u), 0.5 - t), math.sin(math.pi * u)
 
 
-def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
-    """Unsigned deformed sum, atan2(|sin|, cos) of the composition's angle; Angle-normalized (1 -> 0).
+def _composition(c1, s1, c2, s2, l: float):
+    """(cos, low, sin^2) of :func:`plus_l_oracle`'s composed angle, from c = cos(pi t), s = sin(pi t).
 
-    The cosine is the arccos-formula argument.  |sin| comes from the
-    composition's off-diagonal entries, sin^2 = up * low - p^2 with the
-    lower-left entry low = sin(pi t1) cos(pi t2) + cos(pi t1) e^-l sin(pi t2),
-    up the same with e^l, and p = sinh(l) sin(pi t1) sin(pi t2) half the
-    difference of the diagonal entries.  So a result near 0 or 1 keeps its
-    digits, where acos of an argument near +-1 would lose them.
+    Floats or arrays.  cos is the arccos-formula argument, low the
+    lower-left entry, whose sign is the sine's.  sin^2 = up low - p^2, with
+    up the upper-right entry and p half the diagonal's difference, keeps
+    the digits near 0 and 1.
     """
+    low = s1 * c2 + c1 * math.exp(-l) * s2
+    up = s1 * c2 + c1 * math.exp(l) * s2
+    p = math.sinh(l) * s1 * s2
+    return c1 * c2 - math.cosh(l) * s1 * s2, low, low * up - p * p
+
+
+def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
+    """Unsigned deformed sum, atan2(|sin|, cos) of :func:`_composition`'s angle; Angle-normalized (1 -> 0)."""
     _check_args(l, t1=t1, t2=t2)
     if l == 0:
         e1, e2 = _as_exact(t1), _as_exact(t2)
@@ -147,14 +153,10 @@ def plus_l(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
             # undeformed sum, folded the way acos folds: x and 2 - x agree
             s = (e1 + e2) % 2
             return Angle(exact=s if s <= 1 else 2 - s)
-    (c1, s1), (c2, s2) = _cos_sin(_as_float(t1)), _cos_sin(_as_float(t2))
-    arg = c1 * c2 - math.cosh(l) * s1 * s2
+    arg, _, sin2 = _composition(*_cos_sin(_as_float(t1)), *_cos_sin(_as_float(t2)), l)
     if abs(arg) > 1.0 + 1e-12:
         raise UndefinedSum(f"formula argument {arg} outside [-1, 1]")
-    low = s1 * c2 + c1 * math.exp(-l) * s2
-    up = s1 * c2 + c1 * math.exp(l) * s2
-    p = math.sinh(l) * s1 * s2
-    return Angle(math.atan2(math.sqrt(max(0.0, low * up - p * p)), arg) / math.pi)
+    return Angle(math.atan2(math.sqrt(max(0.0, sin2)), arg) / math.pi)
 
 
 def plus_l_oracle(t1: AngleLike, t2: AngleLike, l: float) -> Angle:
@@ -185,19 +187,16 @@ def _cos_sin_array(t) -> tuple[np.ndarray, np.ndarray]:
 def plus_l_signed_array(t1, t2, l: float):
     """Vectorized signed deformed sum; NaN where the composition is not elliptic.
 
-    Closed form for the same composition :func:`plus_l_oracle` builds:
-    the cosine of the result is the arccos-formula argument and the sign
-    of its sine matches the composition's lower-left matrix entry
-    sin(pi t1) cos(pi t2) + cos(pi t1) e^{-l} sin(pi t2).  Sines and
-    cosines are taken at min(t, 1 - t), as :func:`plus_l` takes them.
+    The angle whose cosine and sine^2 :func:`_composition` gives, the sine
+    taking the sign of ``low``, from sines and cosines at min(t, 1 - t) as
+    in :func:`plus_l`.  NaN needs both |cos| > 1 and sin^2 <= 0, so a
+    cosine rounded past +-1 at a sum near 0 or 1 still answers.
     """
-    (c1, s1), (c2, s2) = _cos_sin_array(np.asarray(t1, dtype=float)), _cos_sin_array(np.asarray(t2, dtype=float))
-    arg = c1 * c2 - np.cosh(l) * s1 * s2
-    low = s1 * c2 + c1 * math.exp(-l) * s2
-    sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
+    arg, low, sin2 = _composition(*_cos_sin_array(np.asarray(t1, float)), *_cos_sin_array(np.asarray(t2, float)), l)
+    sin_mag = np.sqrt(np.maximum(sin2, 0.0))
     # not np.copysign: an exactly cancelled low of +0.0 takes the negative sine
     theta = np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi
-    return np.where(np.abs(arg) <= 1.0, unit(theta), np.nan)
+    return np.where((np.abs(arg) <= 1.0) | (sin2 > 0), unit(theta), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +404,23 @@ def _variables_in(expr: Expr) -> set[str]:
 
 
 def _polish(system: EquationSystem, start: np.ndarray, refine_tol: float) -> np.ndarray | None:
-    """Damped Gauss-Newton on the wrapped residual vector; None if it fails."""
+    """Damped Gauss-Newton on the wrapped residuals, one step past refine_tol / 4; None if it fails."""
     x = unit(np.array(start, dtype=float))
     for _ in range(60):
         r0 = _residuals_at(system, x)
         if r0 is None:
             return None
-        if np.max(np.abs(r0)) <= refine_tol / 4:
-            return x
-        jac = _jacobian(system, x, r0)
-        if jac is None:
-            return None
+        rho, jac = np.max(np.abs(r0)), _jacobian(system, x, r0)
         try:
-            step, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
+            step = None if jac is None else np.linalg.lstsq(jac, -r0, rcond=None)[0]
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
+            return x if rho <= refine_tol / 4 else None
         step = np.clip(step, -0.05, 0.05)
+        if rho <= refine_tol / 4:
+            last = unit(x + step)
+            return last if _rho(system, last) < rho else x
         x = unit(x + step)
         if np.max(np.abs(step)) < refine_tol / 16 and _rho(system, x) <= refine_tol:
             return x
@@ -520,9 +518,10 @@ def _sum_inverse(k, c, l: float, unknown_left: bool) -> np.ndarray:
     composition's rotation number rises by 1, strictly on the one arc
     where the composition is elliptic, so it meets c there once: one of
     the two points has the signed sum c, the other -c.  The one kept is
-    the one whose sum is nearer c.  R^2 - cos^2(pi c) is
-    sinh^2(l) sin^2(pi k) + sin^2(pi c), so beta is taken by atan2, with
-    no difference of two numbers near 1.
+    the one whose sum is nearer c: +beta's, unless c is so near 0 or 1
+    that that point lies within rounding of a domain end and rounds off
+    it.  R^2 - cos^2(pi c) is sinh^2(l) sin^2(pi k) + sin^2(pi c), so beta
+    is taken by atan2.
     """
     (ck, sk), (cc, sc) = _cos_sin_array(k), _cos_sin_array(c)
     phase = np.arctan2(math.cosh(l) * sk, ck)

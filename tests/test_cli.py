@@ -203,6 +203,17 @@ def test_solve_doubling(tmp_path, capsys):
         assert set(r["assignment"]) == {"t"}
 
 
+def test_solve_doubling_onto_a_sum_near_zero(tmp_path, capsys):
+    # the signed sums took |sin| as sqrt(1 - cos^2), which rounds a sum of
+    # 1e-9 to 0: no root survived and the command exited 1
+    path = tmp_path / "sys.json"
+    path.write_text(
+        json.dumps({"variables": ["t"], "equations": [[{"plus_l": {"l": 0, "a": "t", "b": "t"}}, "1/1000000000"]]})
+    )
+    doc = run_json(capsys, ["solve", str(path)])
+    assert sorted(r["value"] for r in doc["roots"]) == pytest.approx([5e-10, 0.5 + 5e-10], abs=1e-12, rel=0)
+
+
 def test_solve_decimal_constant_and_unbound_name(tmp_path, capsys):
     def system(rhs):
         path = tmp_path / "sys.json"

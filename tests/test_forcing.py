@@ -565,6 +565,13 @@ def test_outer_approximation_point_target():
                 assert hi - lo <= 2 * Fraction(1, 2 ** (i + 4))
 
 
+def test_outer_approximation_reads_ends_without_as_integer_ratio():
+    # strings and numpy integers have no as_integer_ratio: their ends go through Fraction
+    assert outer_approximation([("1/4", "1/3")], 4) == outer_approximation([(F(1, 4), F(1, 3))], 4)
+    for ends in ([(0, 0)], [(2, 2), (-3, -3)], [(-1, 0)]):
+        assert outer_approximation([tuple(map(np.int64, e)) for e in ends], 3) == outer_approximation(ends, 3)
+
+
 def test_outer_approximation_cantor_counts():
     stages = outer_approximation(lambda i: middle_thirds_cantor(i), 8)
     s8 = stages[-1]

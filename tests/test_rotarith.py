@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -460,6 +461,111 @@ def test_solver_two_variables():
     assert (0.2, 0.3) in pts and (0.3, 0.2) in pts
 
 
+@pytest.mark.parametrize("c", [1e-9, 1.0 - 1e-9])
+def test_solver_doubling_onto_a_sum_near_zero_or_one(c):
+    # sqrt(1 - cos^2) rounded the signed sum near 0 and 1: no root survived
+    system = EquationSystem(variables=["t"], equations=[(PlusL(0.0, Var("t"), Var("t")), Const(Angle(c)))])
+    assert sorted(solve_system(system).values()) == pytest.approx([c / 2, c / 2 + 0.5], abs=1e-12, rel=0)
+
+
+def test_solver_pair_with_a_sum_near_zero():
+    # x +_0 y = 1e-12 was solved with y 2.0e-10 off, at a residual of 1e-12
+    system = EquationSystem(
+        variables=["x", "y"],
+        equations=[
+            (PlusL(0.0, Var("x"), Var("y")), Const(Angle(1e-12))),
+            (PlusL(0.0, Var("x"), Var("x")), Const(Angle(0.4))),
+        ],
+    )
+    ys = sorted(r.assignment["y"] for r in solve_system(system).roots)
+    assert ys == pytest.approx([0.300000000001, 0.800000000001], abs=1e-12, rel=0)
+
+
+def _mp_pair_root(l, a, b, x0, y0):
+    """The root of x +_l y = a, x +_0 x = b at 50 digits nearest the float root (x0, y0).
+
+    Each equation asks its arccos argument to be cos(pi c) where the
+    lower-left entry is positive and -cos(pi c) where it is negative; the
+    signs are read at (x0, y0) and Newton runs from there."""
+
+    def arg_low(t1, t2, l):
+        c1, s1, c2, s2 = mpmath.cospi(t1), mpmath.sinpi(t1), mpmath.cospi(t2), mpmath.sinpi(t2)
+        return c1 * c2 - mpmath.cosh(l) * s1 * s2, s1 * c2 + c1 * mpmath.exp(-l) * s2
+
+    with mpmath.workdps(50):
+        l, a, b = mpmath.mpf(l), mpmath.mpf(a), mpmath.mpf(b)
+        sa = 1 if arg_low(x0, y0, l)[1] > 0 else -1
+        sb = 1 if arg_low(x0, x0, 0)[1] > 0 else -1
+        x, y = mpmath.findroot(
+            [lambda x, y: arg_low(x, y, l)[0] - sa * mpmath.cospi(a), lambda x, y: arg_low(x, x, 0)[0] - sb * mpmath.cospi(b)],
+            (mpmath.mpf(x0), mpmath.mpf(y0)),
+        )
+        return float(x), float(y)
+
+
+def test_solver_polish_lands_on_the_root():
+    # the seed-5 solve2d system of the benchmark: the polish stopped at a
+    # residual below refine_tol / 4, 1.7e-11 from both roots
+    l, a, b = 0.6087852691950995, 0.4197020992009764, 0.4694712085060413
+    system = EquationSystem(
+        variables=["x", "y"],
+        equations=[
+            (PlusL(l, Var("x"), Var("y")), Const(Angle(a))),
+            (PlusL(0.0, Var("x"), Var("x")), Const(Angle(b))),
+        ],
+    )
+    roots = solve_system(system).roots
+    assert len(roots) == 2
+    for r in roots:
+        x, y = r.assignment["x"], r.assignment["y"]
+        want = _mp_pair_root(l, a, b, x, y)
+        assert circ_dist(x, want[0]) <= 1e-14 and circ_dist(y, want[1]) <= 1e-14
+        assert r.residual <= 1e-14
+
+
+def test_solver_isolation_radius_stops_at_its_floor():
+    # the two sides stay within 1e-2 of each other on the whole ring at
+    # 10 refine_tol, so the radius halves to that floor and stays there
+    system = EquationSystem(
+        variables=["t"],
+        equations=[(PlusL(1.0, Var("t"), Const(Angle(0.3))), PlusL(1.5, Var("t"), Const(Angle(0.31))))],
+    )
+    (root,) = solve_system(system, refine_tol=1e-3).roots
+    assert abs(root.value.value - 0.98816) < 1e-3
+    assert root.isolation_radius == 10 * 1e-3
+    assert root.residual <= 1e-3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.floats(0.0, 1.0, exclude_max=True),
+    c=st.floats(0.001, 0.999),
+    l=st.floats(0.0, 5.0),
+    unknown_left=st.booleans(),
+)
+def test_sum_inverse_keeps_the_candidate_with_sum_c(k, c, l, unknown_left):
+    # of the two points with formula argument +-cos(pi c), one has signed
+    # sum c, the other -c.  c stays 1e-3 from 0 and 1: for l > 0 its v then
+    # nears the edge of the domain, where the sum moves like the square
+    # root of v's distance from it, and rounding v alone moves the sum by
+    # 1.2e-9 at (k, c, l) = (0.25, 0, 0.5)
+    v = float(rotarith._sum_inverse(np.asarray(k), np.asarray(c), l, unknown_left))
+    s = plus_l_signed_array(v, k, l) if unknown_left else plus_l_signed_array(k, v, l)
+    assert abs(float(wrap_diff(s, c))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "k, c, l, unknown_left",
+    [(0.46, 0.0, 0.5, True), (0.458, 0.0, 2.0, False), (0.524, 1e-12, 1.0, True), (0.348, 1.0 - 2.0**-53, 1.0, False)],
+)
+def test_sum_inverse_keeps_the_end_that_rounds_into_the_domain(k, c, l, unknown_left):
+    # on these sums the first candidate rounds just off the domain, where
+    # the signed sum is NaN, and the second lands on a sum of 0
+    v = float(rotarith._sum_inverse(np.asarray(k), np.asarray(c), l, unknown_left))
+    s = plus_l_signed_array(v, k, l) if unknown_left else plus_l_signed_array(k, v, l)
+    assert circ_dist(float(s), c) <= 1e-11
+
+
 def test_solver_underdetermined_rejected():
     system = EquationSystem(
         variables=["x", "y"],
@@ -811,9 +917,10 @@ def _former_plus_l_signed_array(t1, t2, l):
     a1, a2 = np.pi * np.minimum(t1, 1.0 - t1), np.pi * np.minimum(t2, 1.0 - t2)
     c1, s1 = np.copysign(np.cos(a1), 0.5 - t1), np.sin(a1)
     c2, s2 = np.copysign(np.cos(a2), 0.5 - t2), np.sin(a2)
-    arg = c1 * c2 - np.cosh(l) * s1 * s2
+    arg = c1 * c2 - math.cosh(l) * s1 * s2
     low = s1 * c2 + c1 * math.exp(-l) * s2
-    sin_mag = np.sqrt(np.clip(1.0 - arg * arg, 0.0, None))
+    up, p = s1 * c2 + c1 * math.exp(l) * s2, math.sinh(l) * s1 * s2
+    sin_mag = np.sqrt(np.clip(low * up - p * p, 0.0, None))
     theta = (np.arctan2(np.where(low > 0, sin_mag, -sin_mag), arg) / np.pi) % 1.0
     return np.where(np.abs(arg) <= 1.0, theta, np.nan)
 
@@ -853,6 +960,28 @@ def test_signed_sum_near_one_matches_fifty_digit_reference(u, l, f, mp50):
         assert circ_dist(float(plus_l_signed_array(a, b, l)), mp50.plus_l_signed(a, b, l)) <= 1e-14
     far = (0.99999999992, 0.3, 19.9)
     assert circ_dist(float(plus_l_signed_array(*far)), mp50.plus_l_signed(*far)) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    t1=st.floats(0.0, 1.0, exclude_max=True),
+    u=st.floats(-12.0, -3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    f=st.floats(0.0, 1.0),
+)
+def test_signed_sum_near_zero_and_one_matches_fifty_digit_reference(t1, u, sign, f, mp50):
+    # |sin| from sqrt(1 - cos^2) lost the digits of a sum near 0 or 1: at
+    # (0.6709745063742591, 0.3290254936150703, 0) it was off by 6.7e-9, and
+    # at (0.96875, 0.03124999999437661, 0) cos rounded past -1 and the sum
+    # read NaN
+    delta = 10.0**u
+    t2, l = (sign * delta - t1) % 1.0, 5.0 * f * delta
+    assume(math.sinh(l) * math.sin(math.pi * t1) <= math.tan(math.pi * delta / 2))
+    for l in (0.0, l):
+        for a, b in ((t1, t2), (t2, t1)):
+            assert circ_dist(float(plus_l_signed_array(a, b, l)), mp50.plus_l_signed(a, b, l)) <= 1e-15
+    worst = (0.6709745063742591, 0.3290254936150703, 0.0)
+    assert circ_dist(float(plus_l_signed_array(*worst)), mp50.plus_l_signed(*worst)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
